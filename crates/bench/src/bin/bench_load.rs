@@ -141,8 +141,8 @@ fn drive(addr: &str, release: &ReleaseRef, cfg: &Config) -> Result<RunResult, St
                     .is_ok()
                 {
                     // Repeated-source workload: every batch draws all its
-                    // pairs from a small pool of sources, the shape the
-                    // planner groups and the store cache slots.
+                    // pairs from a small pool of sources, the shape a
+                    // batch groups by source and the store cache slots.
                     let source = NodeId::new(rng.gen_range(0..cfg.sources) * 7 % cfg.nodes);
                     let pairs: Vec<(NodeId, NodeId)> = (0..cfg.batch)
                         .map(|_| (source, NodeId::new(rng.gen_range(0..cfg.nodes))))

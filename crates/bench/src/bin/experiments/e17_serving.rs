@@ -1,22 +1,25 @@
-//! E17 — serve-path throughput: queries/sec against a `QueryService`
+//! E17 — serve-path throughput: queries/sec against a live store's
 //! snapshot as reader threads grow.
 //!
 //! The release-once/query-many architecture means the read path is pure
 //! post-processing over an immutable snapshot, so serving should scale
 //! near-linearly with reader threads until cores run out. This
 //! experiment measures that claim on the production serve path (the
-//! same `answer_one` the TCP server runs per request), on a
-//! shortest-path release over a G(n, m) road network.
+//! same `StoreHandler::handle` the TCP server runs per request line), on
+//! a shortest-path release over a G(n, m) road network. The store's
+//! source cache is off, so every request pays its own search and every
+//! thread count does the same work.
 
 use super::context::Ctx;
 use privpath_bench::{fmt, Table};
-use privpath_core::shortest_path::ShortestPathParams;
 use privpath_dp::Epsilon;
-use privpath_engine::QueryService;
+use privpath_engine::ReleaseKind;
 use privpath_graph::generators::{connected_gnm, uniform_weights};
 use privpath_graph::NodeId;
-use privpath_serve::{answer_one, QueryRequest};
+use privpath_serve::{QueryRequest, RequestHandler, StoreHandler};
+use privpath_store::{ReleaseSpec, ReleaseStore};
 use rand::Rng;
+use std::sync::Arc;
 use std::time::Instant;
 
 pub fn run(ctx: &Ctx) {
@@ -34,17 +37,19 @@ pub fn run(ctx: &Ctx) {
     let mut rng = ctx.rng(17);
     let topo = connected_gnm(v, 4 * v, &mut rng);
     let weights = uniform_weights(topo.num_edges(), 0.0, 10.0, &mut rng);
-    let mut engine = ctx.engine(&topo, &weights);
-    let params = ShortestPathParams::new(Epsilon::new(1.0).unwrap(), 0.05).unwrap();
-    engine
-        .release(
-            &privpath_engine::mechanisms::ShortestPaths,
-            &params,
-            &mut rng,
-        )
-        .expect("release");
-    let service = engine.snapshot();
-    let id = service.releases().next().expect("one release").id();
+    let dir = std::env::temp_dir().join(format!("privpath-e17-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ReleaseStore::open(&dir)
+        .expect("open store")
+        .with_cache(false)
+        .with_seed(ctx.seed);
+    store
+        .create_namespace("e17", topo, weights, None)
+        .expect("create namespace");
+    let spec =
+        ReleaseSpec::new(ReleaseKind::ShortestPath, Epsilon::new(1.0).unwrap()).expect("spec");
+    let id = store.publish("e17", &spec).expect("publish").id;
+    let handler = StoreHandler::read_only(Arc::new(store));
 
     // A fixed workload with heavy source reuse, identical for every
     // thread count so the comparison is apples to apples.
@@ -54,12 +59,13 @@ pub fn run(ctx: &Ctx) {
     for _ in 0..sources {
         let s = NodeId::new(rng.gen_range(0..v));
         for _ in 0..per_source {
-            requests.push(QueryRequest::Distance {
+            let req = QueryRequest::Distance {
                 release: id.into(),
                 from: s,
                 to: NodeId::new(rng.gen_range(0..v)),
                 gamma: None,
-            });
+            };
+            requests.push(req.to_string());
         }
     }
 
@@ -69,10 +75,10 @@ pub fn run(ctx: &Ctx) {
         std::thread::scope(|scope| {
             let chunk = requests.len().div_ceil(threads);
             for shard in requests.chunks(chunk) {
-                let service: QueryService = service.clone();
+                let handler = &handler;
                 scope.spawn(move || {
-                    for req in shard {
-                        std::hint::black_box(answer_one(&service, req));
+                    for line in shard {
+                        std::hint::black_box(handler.handle(line));
                     }
                 });
             }
@@ -89,4 +95,5 @@ pub fn run(ctx: &Ctx) {
         ]);
     }
     ctx.emit(&table);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -239,7 +239,7 @@ impl BoundedWeightRelease {
     }
 
     /// The dense symmetric `|Z| x |Z|` matrix of released center-pair
-    /// distances, row-major (see [`crate::persist`] users).
+    /// distances, row-major (for the engine's persistence layer).
     pub fn released_matrix(&self) -> &[f64] {
         &self.noisy_dist
     }

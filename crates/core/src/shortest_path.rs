@@ -130,7 +130,8 @@ impl ShortestPathRelease {
         &self.params
     }
 
-    /// Reassembles a release from stored parts (see [`crate::persist`]).
+    /// Reassembles a release from stored parts (the engine's persistence
+    /// layer).
     /// The weights must match the topology and be nonnegative (releases
     /// are stored clamped).
     ///

@@ -60,10 +60,6 @@ impl ReleaseId {
     pub fn value(&self) -> u64 {
         self.0
     }
-
-    pub(crate) fn from_value(value: u64) -> Self {
-        ReleaseId(value)
-    }
 }
 
 impl std::fmt::Display for ReleaseId {
@@ -146,7 +142,7 @@ impl ReleaseRecord {
     }
 
     /// The accuracy contract declared by the releasing mechanism
-    /// (`None` for releases adopted from legacy storage).
+    /// (`None` for releases adopted without one).
     pub fn accuracy(&self) -> Option<&AccuracyContract> {
         self.accuracy.as_ref()
     }

@@ -28,14 +28,12 @@
 //!   declared cost per release (budget checked **before** noise is
 //!   drawn) and registers releases under [`ReleaseId`]s.
 //! * [`QueryService`] — the shared **read path**: an immutable `Send +
-//!   Sync` snapshot of the registry ([`ReleaseEngine::snapshot`]) or of
-//!   stored release files ([`QueryService::from_stored`]) that any
-//!   number of threads query in parallel with no locks. Queries are
+//!   Sync` snapshot of the registry ([`ReleaseEngine::snapshot`]) that
+//!   any number of threads query in parallel with no locks. Queries are
 //!   post-processing, so a snapshot answers unboundedly many of them at
 //!   zero privacy cost while the engine keeps releasing.
-//! * [`persist`] — a unified tagged storage format covering every
-//!   distance-capable release kind (and still reading the legacy
-//!   shortest-path-only v1 files).
+//! * [`persist`] — one tagged storage format (`privpath-release v3`)
+//!   covering every distance-capable release kind.
 //!
 //! ## Example
 //!

@@ -1,9 +1,6 @@
-//! Unified persistence for engine releases: store any distance-capable
-//! release once, serve queries from it forever (post-processing carries
-//! the original privacy guarantee unchanged).
-//!
-//! Generalizes `privpath_core::persist` (which only covered shortest-path
-//! releases) to a tagged container format:
+//! Persistence for engine releases: store any distance-capable release
+//! once, serve queries from it forever (post-processing carries the
+//! original privacy guarantee unchanged). One tagged container format:
 //!
 //! ```text
 //! privpath-release v3
@@ -15,18 +12,13 @@
 //! <kind-specific body, reusing the substrate's topology/weights blocks>
 //! ```
 //!
-//! v3 adds the `accuracy` line: the release's
-//! [`AccuracyContract`](privpath_core::bounds::AccuracyContract) in its
-//! [`to_line`](privpath_core::bounds::AccuracyContract::to_line) form, so
+//! The `accuracy` line is the release's [`AccuracyContract`] in its
+//! [`to_line`](AccuracyContract::to_line) form, so
 //! a stored release carries the theorem-named error bound it was created
-//! under and the serve path can report it at any confidence. The legacy
-//! `privpath-release v2` (no accuracy line) and `privpath-sp-release v1`
-//! (shortest-path only) formats are still readable — the loader sniffs
-//! the header and upgrades on the fly, leaving the contract empty. The
-//! `shortcut-apsp` kind (hierarchical shortcut ladder) persists its
-//! level structure — radius, centers, sorted shortcut triples — under
-//! the same v3 header; files written before it existed keep loading
-//! unchanged. Structure-releasing kinds (MST, matching) have no
+//! under and the serve path can report it at any confidence. Any other
+//! header is refused. The `shortcut-apsp` kind (hierarchical shortcut
+//! ladder) persists its level structure — radius, centers, sorted
+//! shortcut triples. Structure-releasing kinds (MST, matching) have no
 //! serve-side query surface and are not persisted.
 
 use crate::engine::{ReleaseEngine, ReleaseId};
@@ -36,18 +28,15 @@ use privpath_core::baselines::{AllPairsDistanceRelease, SyntheticGraphRelease};
 use privpath_core::bounded::BoundedWeightRelease;
 use privpath_core::bounds::AccuracyContract;
 use privpath_core::model::NeighborScale;
-use privpath_core::persist::read_shortest_path_release;
 use privpath_core::shortcut::ShortcutApspRelease;
 use privpath_core::shortest_path::{ShortestPathParams, ShortestPathRelease};
 use privpath_core::tree_distance::{TreeAllPairsRelease, TreeSingleSourceRelease};
 use privpath_dp::Epsilon;
 use privpath_graph::io::{read_topology, read_weights, write_topology, write_weights};
 use privpath_graph::NodeId;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 
 const HEADER_V3: &str = "privpath-release v3";
-const HEADER_V2: &str = "privpath-release v2";
-const HEADER_V1: &str = "privpath-sp-release v1";
 
 /// A release as read from storage: the object plus its accounting
 /// metadata, ready for [`ReleaseEngine::adopt`] or direct querying.
@@ -59,8 +48,8 @@ pub struct StoredRelease {
     pub eps: f64,
     /// The delta the release cost.
     pub delta: f64,
-    /// The accuracy contract the release was created under (`None` for
-    /// legacy v1/v2 files, which predate contracts).
+    /// The accuracy contract the release was created under (`None` when
+    /// it was written as `accuracy none`).
     pub accuracy: Option<AccuracyContract>,
     /// The release object.
     pub release: AnyRelease,
@@ -184,49 +173,28 @@ pub fn write_release(
     Ok(())
 }
 
-/// Reads a release written by [`write_release`] (or the legacy v2 /
-/// v1 formats, upgraded transparently with an empty contract).
+/// Reads a release written by [`write_release`].
 ///
 /// # Errors
-/// [`EngineError::Persist`] for malformed input.
-pub fn read_release(mut input: impl BufRead) -> Result<StoredRelease, EngineError> {
-    // Buffer everything so the legacy reader can re-consume its header.
-    let mut text = String::new();
-    input.read_to_string(&mut text).map_err(io_err)?;
-    let first = text.lines().next().unwrap_or("");
-    if first == HEADER_V1 {
-        let release =
-            read_shortest_path_release(BufReader::new(text.as_bytes())).map_err(io_err)?;
-        let eps = release.params().eps().value();
-        return Ok(StoredRelease {
-            label: "shortest-path#legacy".into(),
-            eps,
-            delta: 0.0,
-            accuracy: None,
-            release: AnyRelease::ShortestPath(release),
-        });
-    }
-    let has_accuracy_line = match first {
-        HEADER_V3 => true,
-        HEADER_V2 => false,
-        _ => return Err(persist_err(format!("bad header {first:?}"))),
+/// [`EngineError::Persist`] for malformed input, including any header
+/// other than `privpath-release v3`.
+pub fn read_release(mut reader: impl BufRead) -> Result<StoredRelease, EngineError> {
+    let mut line = String::new();
+    let mut next_line = |reader: &mut dyn BufRead, expect: &str| -> Result<String, EngineError> {
+        line.clear();
+        let n = reader.read_line(&mut line).map_err(io_err)?;
+        if n == 0 {
+            return Err(persist_err(format!(
+                "unexpected end of input, expected {expect}"
+            )));
+        }
+        Ok(line.trim_end().to_string())
     };
 
-    let mut reader = BufReader::new(text.as_bytes());
-    let mut line = String::new();
-    let mut next_line =
-        |reader: &mut BufReader<&[u8]>, expect: &str| -> Result<String, EngineError> {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(io_err)?;
-            if n == 0 {
-                return Err(persist_err(format!(
-                    "unexpected end of input, expected {expect}"
-                )));
-            }
-            Ok(line.trim_end().to_string())
-        };
-
-    let _header = next_line(&mut reader, "header")?;
+    let header = next_line(&mut reader, "header")?;
+    if header != HEADER_V3 {
+        return Err(persist_err(format!("bad header {header:?}")));
+    }
     let kind_line = next_line(&mut reader, "kind")?;
     let kind_str = kind_line
         .strip_prefix("kind ")
@@ -239,21 +207,17 @@ pub fn read_release(mut input: impl BufRead) -> Result<StoredRelease, EngineErro
         .to_string();
     let eps = parse_field_f64(&next_line(&mut reader, "eps")?, "eps ")?;
     let delta = parse_field_f64(&next_line(&mut reader, "delta")?, "delta ")?;
-    let accuracy = if has_accuracy_line {
-        let line = next_line(&mut reader, "accuracy")?;
-        let spec = line
-            .strip_prefix("accuracy ")
-            .ok_or_else(|| persist_err("expected `accuracy <contract>` or `accuracy none`"))?;
-        if spec.trim() == "none" {
-            None
-        } else {
-            Some(
-                AccuracyContract::parse_line(spec)
-                    .ok_or_else(|| persist_err(format!("invalid accuracy contract {spec:?}")))?,
-            )
-        }
-    } else {
+    let accuracy_line = next_line(&mut reader, "accuracy")?;
+    let spec = accuracy_line
+        .strip_prefix("accuracy ")
+        .ok_or_else(|| persist_err("expected `accuracy <contract>` or `accuracy none`"))?;
+    let accuracy = if spec.trim() == "none" {
         None
+    } else {
+        Some(
+            AccuracyContract::parse_line(spec)
+                .ok_or_else(|| persist_err(format!("invalid accuracy contract {spec:?}")))?,
+        )
     };
 
     let release = match kind {

@@ -12,7 +12,6 @@
 
 use crate::engine::{ReleaseId, ReleaseRecord};
 use crate::error::EngineError;
-use crate::persist::StoredRelease;
 use crate::release::DistanceRelease;
 use privpath_core::bounds::ErrorBound;
 use privpath_core::CoreError;
@@ -22,12 +21,10 @@ use std::sync::Arc;
 /// An immutable, cheaply-cloneable view of a set of releases plus frozen
 /// ledger totals.
 ///
-/// Obtained from [`ReleaseEngine::snapshot`](crate::ReleaseEngine::snapshot)
-/// (in-process serving alongside a live engine) or
-/// [`QueryService::from_stored`] (serving a directory of release files
-/// with no private weights in the process at all). Cloning bumps two
-/// reference counts; every query method takes `&self`, so the hot path
-/// has no locks.
+/// Obtained from [`ReleaseEngine::snapshot`](crate::ReleaseEngine::snapshot);
+/// the release store takes one per namespace epoch and serves it.
+/// Cloning bumps two reference counts; every query method takes
+/// `&self`, so the hot path has no locks.
 #[derive(Clone, Debug)]
 pub struct QueryService {
     records: Arc<BTreeMap<u64, Arc<ReleaseRecord>>>,
@@ -45,34 +42,6 @@ impl QueryService {
             records: Arc::new(records),
             spent,
             remaining,
-        }
-    }
-
-    /// A service over externally stored releases (e.g. loaded from a
-    /// store directory), with ids assigned in input order starting at
-    /// `r0`. The spent totals are the sum of the stored costs; there is
-    /// no budget cap, so [`remaining`](Self::remaining) is `None`.
-    ///
-    /// This is the pure serving configuration: the process holds released
-    /// objects only, never the private weights.
-    pub fn from_stored(stored: impl IntoIterator<Item = StoredRelease>) -> Self {
-        let mut records = BTreeMap::new();
-        let mut spent = (0.0, 0.0);
-        for (i, s) in stored.into_iter().enumerate() {
-            let id = ReleaseId::from_value(i as u64);
-            spent.0 += s.eps;
-            spent.1 += s.delta;
-            records.insert(
-                id.value(),
-                Arc::new(ReleaseRecord::from_parts(
-                    id, s.label, s.eps, s.delta, s.accuracy, s.release,
-                )),
-            );
-        }
-        QueryService {
-            records: Arc::new(records),
-            spent,
-            remaining: None,
         }
     }
 
@@ -110,7 +79,7 @@ impl QueryService {
     /// # Errors
     /// [`EngineError::UnknownRelease`] for an id not in the snapshot;
     /// [`EngineError::UnsupportedQuery`] when the release carries no
-    /// contract (legacy storage); [`EngineError::Core`] for `gamma`
+    /// contract (adopted with none); [`EngineError::Core`] for `gamma`
     /// outside `(0, 1)`.
     pub fn accuracy(&self, id: ReleaseId, gamma: f64) -> Result<ErrorBound, EngineError> {
         let record = self

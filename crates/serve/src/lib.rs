@@ -13,47 +13,45 @@
 //! * [`admin`] — the namespace-scoped write verbs against a live store:
 //!   `publish`, `update-weights`, `drop`, `epoch`, `stats`
 //!   (budget-gated; typed [`AdminRequest`] / [`AdminResponse`]).
-//! * [`planner`] — [`QueryPlan`] groups a mixed request batch by
-//!   `(release, source)` so each group pays one Dijkstra through the
-//!   engine's `distance_batch`, with per-query error isolation.
+//! * [`live`] — [`StoreHandler`], the one backend that answers query
+//!   verbs: it resolves a release ref's namespace to that namespace's
+//!   current snapshot and answers from it (through the snapshot's source
+//!   cache); [`StoreHandler::read_only`] refuses the admin verbs.
 //! * [`server`] — a dependency-free `std::net` TCP server: fixed-size
 //!   worker pool multiplexing connections over a shared
-//!   [`RequestHandler`] backend — a frozen
-//!   [`QueryService`](privpath_engine::QueryService) snapshot
-//!   ([`Server::bind`]) or a live
-//!   [`ReleaseStore`](privpath_store::ReleaseStore)
-//!   ([`Server::bind_store`], see [`live`]) — with per-connection error
-//!   isolation and a graceful `shutdown` control line.
+//!   [`RequestHandler`] backend (a live
+//!   [`ReleaseStore`](privpath_store::ReleaseStore) via
+//!   [`Server::bind_store`]) with per-connection error isolation and a
+//!   graceful `shutdown` control line.
 //! * [`client`] — a small blocking client for the same protocol.
 //!
 //! ## Example
 //!
 //! ```
-//! use privpath_engine::{mechanisms, QueryService, ReleaseEngine};
-//! use privpath_serve::{Client, QueryRequest, QueryResponse, Server};
-//! use privpath_core::shortest_path::ShortestPathParams;
-//! use privpath_dp::Epsilon;
+//! use privpath_dp::{Delta, Epsilon};
+//! use privpath_engine::ReleaseKind;
 //! use privpath_graph::generators::{path_graph, uniform_weights};
 //! use privpath_graph::NodeId;
+//! use privpath_serve::{Client, QueryRequest, QueryResponse, ReleaseRef, Server};
+//! use privpath_store::{ReleaseSpec, ReleaseStore};
 //! use rand::{rngs::StdRng, SeedableRng};
+//! use std::sync::Arc;
 //!
-//! // Write path: release once under a budget.
-//! let mut rng = StdRng::seed_from_u64(1);
+//! // Write path: a namespace with its own budget, one release published.
+//! let dir = std::env::temp_dir().join(format!("privpath-serve-doc-{}", std::process::id()));
+//! let _ = std::fs::remove_dir_all(&dir);
+//! let store = Arc::new(ReleaseStore::open(&dir)?);
 //! let topo = path_graph(16);
-//! let weights = uniform_weights(topo.num_edges(), 1.0, 5.0, &mut rng);
-//! let mut engine = ReleaseEngine::new(topo, weights)?;
-//! let id = engine.release(
-//!     &mechanisms::ShortestPaths,
-//!     &ShortestPathParams::new(Epsilon::new(1.0)?, 0.05)?,
-//!     &mut rng,
-//! )?;
+//! let weights = uniform_weights(topo.num_edges(), 1.0, 5.0, &mut StdRng::seed_from_u64(1));
+//! store.create_namespace("city", topo, weights, Some((Epsilon::new(2.0)?, Delta::zero())))?;
+//! let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, Epsilon::new(1.0)?)?;
+//! let id = store.publish("city", &spec)?.id;
 //!
-//! // Read path: snapshot, serve over TCP, query from a client.
-//! let server = Server::bind("127.0.0.1:0", engine.snapshot())?.with_threads(2);
-//! let running = server.spawn()?;
+//! // Read path: serve the store over TCP, query from a client.
+//! let running = Server::bind_store("127.0.0.1:0", store)?.with_threads(2).spawn()?;
 //! let mut client = Client::connect(running.addr())?;
 //! let resp = client.request(&QueryRequest::Distance {
-//!     release: id.into(),
+//!     release: ReleaseRef::namespaced("city", id)?,
 //!     from: NodeId::new(0),
 //!     to: NodeId::new(15),
 //!     gamma: Some(0.05), // also return the ±bound at 95% confidence
@@ -64,7 +62,7 @@
 //! ));
 //! drop(client);
 //! running.shutdown()?; // graceful: drains connections, returns stats
-
+//! std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -74,17 +72,13 @@
 pub mod admin;
 pub mod client;
 pub mod live;
-pub mod planner;
 pub mod protocol;
 pub mod server;
 
 pub use admin::{AdminRequest, AdminResponse, TraceEntry};
 pub use client::{Client, ClientError};
 pub use live::StoreHandler;
-pub use planner::{answer_all, answer_one, PlanGroup, QueryPlan};
 pub use protocol::{
     ErrorCode, ParseLineError, QueryRequest, QueryResponse, ReleaseRef, ReleaseSummary,
 };
-pub use server::{
-    RequestHandler, RunningServer, Server, ServerStats, SnapshotHandler, MAX_LINE_BYTES,
-};
+pub use server::{RequestHandler, RunningServer, Server, ServerStats, MAX_LINE_BYTES};

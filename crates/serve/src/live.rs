@@ -13,11 +13,11 @@
 //! path, which serializes per namespace, debits the namespace budget
 //! before drawing noise, persists, and hot-swaps the snapshot.
 
-use crate::admin::{AdminRequest, AdminResponse, TraceEntry};
-use crate::planner::{answer_one, error_bar};
-use crate::protocol::{engine_error_code, ErrorCode, QueryRequest, QueryResponse};
+use crate::admin::{AdminRequest, AdminResponse, TraceEntry, ADMIN_VERBS};
+use crate::protocol::{engine_error_code, ErrorCode, QueryRequest, QueryResponse, ReleaseSummary};
 use crate::server::RequestHandler;
-use privpath_graph::EdgeId;
+use privpath_engine::{EngineError, QueryService, ReleaseId, DEFAULT_GAMMA};
+use privpath_graph::{EdgeId, NodeId};
 use privpath_store::{NamespaceSnapshot, ReleaseStore, SnapError, SpatialIndex, StoreError};
 use std::sync::Arc;
 
@@ -100,56 +100,38 @@ impl StoreHandler {
         }
     }
 
-    fn answer_query(&self, req: &QueryRequest) -> QueryResponse {
-        match req {
+    /// Answers one query verb; the `Err` side carries the wire error so
+    /// every failure path can use `?`.
+    fn answer_query(&self, req: &QueryRequest) -> Result<QueryResponse, QueryResponse> {
+        Ok(match req {
             QueryRequest::Distance {
                 release,
                 from,
                 to,
                 gamma,
             } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                match (
-                    snap.distance(release.id(), *from, *to),
-                    error_bar(snap.service(), release.id(), *gamma),
-                ) {
-                    (Ok(d), Ok(bound)) => QueryResponse::Distance { value: d, bound },
-                    (Ok(_), Err(resp)) => resp,
-                    (Err(e), _) => QueryResponse::from_engine_error(&e),
-                }
+                let snap = self.resolve(release.namespace())?;
+                let value = snap
+                    .distance(release.id(), *from, *to)
+                    .map_err(engine_error)?;
+                let bound = error_bar(snap.service(), release.id(), *gamma)?;
+                QueryResponse::Distance { value, bound }
             }
             QueryRequest::DistanceBatch {
                 release,
                 pairs,
                 gamma,
             } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                match (
-                    snap.distance_batch(release.id(), pairs),
-                    error_bar(snap.service(), release.id(), *gamma),
-                ) {
-                    (Ok(ds), Ok(bound)) => QueryResponse::Distances { values: ds, bound },
-                    (Ok(_), Err(resp)) => resp,
-                    (Err(e), _) => QueryResponse::from_engine_error(&e),
-                }
+                let snap = self.resolve(release.namespace())?;
+                let values = snap
+                    .distance_batch(release.id(), pairs)
+                    .map_err(engine_error)?;
+                let bound = error_bar(snap.service(), release.id(), *gamma)?;
+                QueryResponse::Distances { values, bound }
             }
             QueryRequest::Path { release, from, to } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let local = QueryRequest::Path {
-                    release: release.strip_namespace(),
-                    from: *from,
-                    to: *to,
-                };
-                answer_one(snap.service(), &local)
+                let snap = self.resolve(release.namespace())?;
+                QueryResponse::Path(route(snap.service(), release.id(), *from, *to)?)
             }
             QueryRequest::GeoDistance {
                 release,
@@ -157,132 +139,91 @@ impl StoreHandler {
                 to,
                 gamma,
             } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let index = match geo_index(&snap) {
-                    Ok(i) => i,
-                    Err(resp) => return resp,
-                };
-                let (su, sv) = match (index.snap(from.0, from.1), index.snap(to.0, to.1)) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => return snap_error(&e),
-                };
-                match (
-                    snap.distance(release.id(), su.node, sv.node),
-                    error_bar(snap.service(), release.id(), *gamma),
-                ) {
-                    (Ok(d), Ok(bound)) => QueryResponse::GeoDistance {
-                        from: su.node,
-                        to: sv.node,
-                        value: d,
-                        bound,
-                    },
-                    (Ok(_), Err(resp)) => resp,
-                    (Err(e), _) => QueryResponse::from_engine_error(&e),
+                let snap = self.resolve(release.namespace())?;
+                let (from, to) = snap_pair(geo_index(&snap)?, *from, *to).map_err(snap_error)?;
+                let value = snap
+                    .distance(release.id(), from, to)
+                    .map_err(engine_error)?;
+                let bound = error_bar(snap.service(), release.id(), *gamma)?;
+                QueryResponse::GeoDistance {
+                    from,
+                    to,
+                    value,
+                    bound,
                 }
             }
             QueryRequest::GeoRoute { release, from, to } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let index = match geo_index(&snap) {
-                    Ok(i) => i,
-                    Err(resp) => return resp,
-                };
-                let (su, sv) = match (index.snap(from.0, from.1), index.snap(to.0, to.1)) {
-                    (Ok(a), Ok(b)) => (a, b),
-                    (Err(e), _) | (_, Err(e)) => return snap_error(&e),
-                };
-                let local = QueryRequest::Path {
-                    release: release.strip_namespace(),
-                    from: su.node,
-                    to: sv.node,
-                };
-                match answer_one(snap.service(), &local) {
-                    QueryResponse::Path(nodes) => QueryResponse::GeoRoute {
-                        from: su.node,
-                        to: sv.node,
-                        nodes,
-                    },
-                    other => other,
-                }
+                let snap = self.resolve(release.namespace())?;
+                let (from, to) = snap_pair(geo_index(&snap)?, *from, *to).map_err(snap_error)?;
+                let nodes = route(snap.service(), release.id(), from, to)?;
+                QueryResponse::GeoRoute { from, to, nodes }
             }
             QueryRequest::GeoBatch {
                 release,
                 pairs,
                 gamma,
             } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let index = match geo_index(&snap) {
-                    Ok(i) => i,
-                    Err(resp) => return resp,
-                };
-                let mut snapped = Vec::with_capacity(pairs.len());
-                for (i, (from, to)) in pairs.iter().enumerate() {
-                    match (index.snap(from.0, from.1), index.snap(to.0, to.1)) {
-                        (Ok(a), Ok(b)) => snapped.push((a.node, b.node)),
-                        (Err(e), _) | (_, Err(e)) => return snap_error_at(i, &e),
-                    }
-                }
-                match (
-                    snap.distance_batch(release.id(), &snapped),
-                    error_bar(snap.service(), release.id(), *gamma),
-                ) {
-                    (Ok(ds), Ok(bound)) => QueryResponse::GeoDistances {
-                        triples: snapped
-                            .iter()
-                            .zip(ds)
-                            .map(|(&(u, v), d)| (u, v, d))
-                            .collect(),
-                        bound,
-                    },
-                    (Ok(_), Err(resp)) => resp,
-                    (Err(e), _) => QueryResponse::from_engine_error(&e),
+                let snap = self.resolve(release.namespace())?;
+                let index = geo_index(&snap)?;
+                let snapped = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(from, to))| {
+                        snap_pair(index, from, to).map_err(|e| snap_error_at(i, e))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let values = snap
+                    .distance_batch(release.id(), &snapped)
+                    .map_err(engine_error)?;
+                let bound = error_bar(snap.service(), release.id(), *gamma)?;
+                QueryResponse::GeoDistances {
+                    triples: snapped
+                        .iter()
+                        .zip(values)
+                        .map(|(&(u, v), d)| (u, v, d))
+                        .collect(),
+                    bound,
                 }
             }
             QueryRequest::Accuracy { release, gamma } => {
-                let snap = match self.resolve(release.namespace()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let local = QueryRequest::Accuracy {
-                    release: release.strip_namespace(),
-                    gamma: *gamma,
-                };
-                answer_one(snap.service(), &local)
+                let snap = self.resolve(release.namespace())?;
+                let bound = snap
+                    .service()
+                    .accuracy(release.id(), *gamma)
+                    .map_err(engine_error)?;
+                QueryResponse::Accuracy(bound)
             }
             QueryRequest::ListReleases { namespace } => {
-                let snap = match self.resolve(namespace.as_deref()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                answer_one(
-                    snap.service(),
-                    &QueryRequest::ListReleases { namespace: None },
+                let snap = self.resolve(namespace.as_deref())?;
+                QueryResponse::Releases(
+                    snap.service()
+                        .releases()
+                        .map(|r| ReleaseSummary {
+                            id: r.id(),
+                            kind: r.kind(),
+                            eps: r.eps(),
+                            delta: r.delta(),
+                            num_nodes: r.release().as_distance().map(|o| o.num_nodes()),
+                            accuracy: r.error_bound(DEFAULT_GAMMA),
+                        })
+                        .collect(),
                 )
             }
             QueryRequest::BudgetStatus { namespace } => {
-                let snap = match self.resolve(namespace.as_deref()) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                answer_one(
-                    snap.service(),
-                    &QueryRequest::BudgetStatus { namespace: None },
-                )
+                let snap = self.resolve(namespace.as_deref())?;
+                let (spent_eps, spent_delta) = snap.service().spent();
+                QueryResponse::Budget {
+                    spent_eps,
+                    spent_delta,
+                    remaining: snap.service().remaining(),
+                }
             }
             // Telemetry is process-wide, not namespace-scoped; answer
             // straight from the global registry without resolving.
             QueryRequest::Metrics => QueryResponse::Metrics {
                 lines: privpath_obs::MetricRegistry::global().render_lines(),
             },
-        }
+        })
     }
 
     fn answer_admin(&self, req: &AdminRequest) -> AdminResponse {
@@ -389,12 +330,66 @@ fn geo_index(snap: &NamespaceSnapshot) -> Result<&SpatialIndex, QueryResponse> {
     })
 }
 
+fn engine_error(e: EngineError) -> QueryResponse {
+    QueryResponse::from_engine_error(&e)
+}
+
+/// The error bar for a distance/batch request that asked for one.
+///
+/// Lenient on contract availability — a bar-less answer is still an
+/// answer, so a release without a contract (or an unknown id, which the
+/// distance query itself will report) yields `Ok(None)`. Strict on the
+/// input — an invalid `gamma` fails the request, exactly as it fails an
+/// `accuracy` request, instead of being silently indistinguishable from
+/// "no contract".
+fn error_bar(
+    service: &QueryService,
+    release: ReleaseId,
+    gamma: Option<f64>,
+) -> Result<Option<f64>, QueryResponse> {
+    let Some(g) = gamma else { return Ok(None) };
+    match service.accuracy(release, g) {
+        Ok(bound) => Ok(Some(bound.alpha())),
+        Err(EngineError::UnsupportedQuery { .. }) | Err(EngineError::UnknownRelease(_)) => Ok(None),
+        Err(e) => Err(engine_error(e)),
+    }
+}
+
+/// The released route between two vertices, or the `unsupported`
+/// refusal for a value-only kind.
+fn route(
+    service: &QueryService,
+    release: ReleaseId,
+    from: NodeId,
+    to: NodeId,
+) -> Result<Vec<NodeId>, QueryResponse> {
+    match service.query(release).map_err(engine_error)?.path(from, to) {
+        Some(Ok(path)) => Ok(path.nodes().to_vec()),
+        Some(Err(e)) => Err(engine_error(e)),
+        None => Err(QueryResponse::Error {
+            code: ErrorCode::Unsupported,
+            message: format!("release {release} does not carry routes (value-only release)"),
+        }),
+    }
+}
+
+/// Snaps both endpoints of a coordinate pair to network nodes.
+fn snap_pair(
+    index: &SpatialIndex,
+    from: (f64, f64),
+    to: (f64, f64),
+) -> Result<(NodeId, NodeId), SnapError> {
+    let from = index.snap(from.0, from.1)?;
+    let to = index.snap(to.0, to.1)?;
+    Ok((from.node, to.node))
+}
+
 /// Maps a snap refusal onto a wire error: a coordinate outside the
 /// network's snap bounds is `out-of-range` (the query was well-formed,
 /// the place just isn't on this network); a non-finite coordinate is
 /// `malformed` (the parser already rejects these on the wire path, so
 /// this arm covers embedded callers).
-fn snap_error(e: &SnapError) -> QueryResponse {
+fn snap_error(e: SnapError) -> QueryResponse {
     QueryResponse::Error {
         code: match e {
             SnapError::NonFinite { .. } => ErrorCode::Malformed,
@@ -405,7 +400,7 @@ fn snap_error(e: &SnapError) -> QueryResponse {
 }
 
 /// [`snap_error`] with the failing pair's index, for batch requests.
-fn snap_error_at(pair: usize, e: &SnapError) -> QueryResponse {
+fn snap_error_at(pair: usize, e: SnapError) -> QueryResponse {
     match snap_error(e) {
         QueryResponse::Error { code, message } => QueryResponse::Error {
             code,
@@ -451,7 +446,7 @@ impl RequestHandler for StoreHandler {
             match line.parse::<QueryRequest>() {
                 Ok(req) => {
                     span.phase("parse");
-                    let resp = self.answer_query(&req);
+                    let resp = self.answer_query(&req).unwrap_or_else(|e| e);
                     span.phase("search");
                     let rendered = resp.to_string();
                     span.phase("encode");
@@ -463,7 +458,7 @@ impl RequestHandler for StoreHandler {
                 }
                 .to_string(),
             }
-        } else if crate::admin::ADMIN_VERBS.contains(&verb) {
+        } else if ADMIN_VERBS.contains(&verb) {
             if !self.admin_enabled {
                 return AdminResponse::Error {
                     code: ErrorCode::Unsupported,
@@ -486,12 +481,43 @@ impl RequestHandler for StoreHandler {
             QueryResponse::Error {
                 code: ErrorCode::Malformed,
                 message: format!(
-                    "unknown verb {verb:?} (query: distance, batch, path, geo-distance, \
-                     geo-route, geo-batch, accuracy, list, budget, metrics; admin: \
-                     publish, update-weights, drop, epoch, stats, trace)"
+                    "unknown verb {verb:?} (query: {}; admin: {})",
+                    QUERY_VERBS.join(", "),
+                    ADMIN_VERBS.join(", ")
                 ),
             }
             .to_string()
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_verb_message_lists_every_dispatched_verb() {
+        let dir = std::env::temp_dir().join(format!("privpath-live-verbs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handler = StoreHandler::read_only(Arc::new(ReleaseStore::open(&dir).unwrap()));
+        let line = handler.handle("frobnicate r0 1 2");
+        assert!(line.starts_with("error malformed unknown verb"), "{line}");
+        // The parenthesized list, verb by verb, is exactly the dispatch
+        // tables in order.
+        let (_, list) = line.rsplit_once('(').unwrap();
+        let listed: Vec<&str> = list
+            .trim_end_matches(')')
+            .split([';', ','])
+            .map(|t| {
+                let t = t.trim();
+                t.strip_prefix("query: ")
+                    .or_else(|| t.strip_prefix("admin: "))
+                    .unwrap_or(t)
+            })
+            .collect();
+        let dispatched: Vec<&str> = QUERY_VERBS.iter().chain(&ADMIN_VERBS).copied().collect();
+        assert_eq!(listed, dispatched);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,11 +7,11 @@
 //! idle client while others wait. Connections speak the line protocol of
 //! [`crate::protocol`]: one request per line, one response line back.
 //!
-//! The backend is a [`RequestHandler`]: either a frozen
-//! [`QueryService`] snapshot ([`Server::bind`], query verbs only) or a
-//! live multi-tenant [`ReleaseStore`](privpath_store::ReleaseStore)
-//! ([`Server::bind_store`], query verbs with namespace refs plus the
-//! [admin verbs](crate::admin)).
+//! The backend is a [`RequestHandler`]; the one the system ships is
+//! [`StoreHandler`] over a live multi-tenant [`ReleaseStore`]
+//! ([`Server::bind_store`]: query verbs with namespace refs plus the
+//! [admin verbs](crate::admin); [`StoreHandler::read_only`] refuses the
+//! admin verbs).
 //!
 //! Three properties the serving story needs:
 //!
@@ -30,10 +30,8 @@
 
 use crate::admin::ADMIN_VERBS;
 use crate::live::{StoreHandler, QUERY_VERBS};
-use crate::planner::answer_one;
-use crate::protocol::{ErrorCode, QueryRequest, QueryResponse};
-use privpath_engine::QueryService;
-use privpath_obs::{Counter, MetricRegistry, Span};
+use crate::protocol::{ErrorCode, QueryResponse};
+use privpath_obs::{Counter, MetricRegistry};
 use privpath_store::ReleaseStore;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -50,54 +48,6 @@ use std::time::{Duration, Instant};
 pub trait RequestHandler: Send + Sync + 'static {
     /// Answers one request line.
     fn handle(&self, line: &str) -> String;
-}
-
-/// The frozen-snapshot backend: query verbs against one
-/// [`QueryService`]; admin verbs are refused (there is nothing to
-/// mutate).
-pub struct SnapshotHandler {
-    service: QueryService,
-}
-
-impl SnapshotHandler {
-    /// Wraps a snapshot.
-    pub fn new(service: QueryService) -> Self {
-        SnapshotHandler { service }
-    }
-}
-
-impl RequestHandler for SnapshotHandler {
-    fn handle(&self, line: &str) -> String {
-        let verb = line.split_whitespace().next().unwrap_or_default();
-        let mut span = Span::enter(known_verb(line));
-        let response = if ADMIN_VERBS.contains(&verb) {
-            // Admin verbs never overlap query verbs: refuse with a
-            // pointed message rather than "unknown verb".
-            QueryResponse::Error {
-                code: ErrorCode::Unsupported,
-                message: format!(
-                    "`{verb}` is a live-store admin verb; this server serves a \
-                     frozen snapshot (start one with `serve --store`)"
-                ),
-            }
-        } else {
-            match line.parse::<QueryRequest>() {
-                Ok(req) => {
-                    span.phase("parse");
-                    let resp = answer_one(&self.service, &req);
-                    span.phase("search");
-                    resp
-                }
-                Err(e) => QueryResponse::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                },
-            }
-        };
-        let rendered = response.to_string();
-        span.phase("encode");
-        rendered
-    }
 }
 
 /// The acknowledgement line sent for the `shutdown` control command.
@@ -212,19 +162,10 @@ pub struct Server {
 
 impl Server {
     /// Binds to `addr` (use port 0 for an OS-assigned ephemeral port)
-    /// serving a frozen [`QueryService`] snapshot, with a default pool
-    /// of 4 worker threads.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind(addr: impl ToSocketAddrs, service: QueryService) -> io::Result<Self> {
-        Self::bind_handler(addr, Arc::new(SnapshotHandler::new(service)))
-    }
-
-    /// Binds to `addr` serving a **live store**: query verbs resolve
-    /// namespace-qualified refs against the store's current snapshots
-    /// (through the read-path cache), and the [admin verbs](crate::admin)
-    /// mutate it.
+    /// serving a **live store**, with a default pool of 4 worker threads:
+    /// query verbs resolve namespace-qualified refs against the store's
+    /// current snapshots (through the read-path cache), and the
+    /// [admin verbs](crate::admin) mutate it.
     ///
     /// # Errors
     /// Propagates the bind failure.

@@ -16,13 +16,14 @@
 //! privpath inspect   --release demo.shortest-path.release   # incl. accuracy contract
 //! ```
 
-use privpath::engine::{mechanisms, read_release, QueryService, ReleaseEngine, ReleaseKind};
+use privpath::engine::{mechanisms, read_release, ReleaseEngine, ReleaseKind};
 use privpath::geo::{generate_road_network, read_co_path, read_gr_path, write_co, write_gr};
 use privpath::graph::generators::{random_geometric_graph, random_tree_prufer, uniform_weights};
 use privpath::graph::io::{read_topology, read_weights, write_topology, write_weights};
 use privpath::prelude::*;
 use privpath::serve::{
-    AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef, Server,
+    AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef, RequestHandler,
+    Server, StoreHandler,
 };
 use privpath::store::{ReleaseSpec, ReleaseStore};
 use rand::rngs::StdRng;
@@ -75,9 +76,9 @@ commands:
   inspect    --release F
              print a stored release's kind, privacy metadata, and
              accuracy contract
-  serve      (--store D | --store-dir D) --port P [--host H] [--threads N]
+  serve      --store D --port P [--host H] [--threads N]
              [--no-cache] [--read-only] [--admin-port Q]
-             --store D serves a LIVE release store rooted at D: queries
+             serve the LIVE release store rooted at D: queries
              resolve namespace-qualified refs (NS/r0) against hot-swapped
              snapshots through the read-path cache (--no-cache disables
              it). Admin verbs (publish, update-weights, drop, epoch,
@@ -85,9 +86,7 @@ commands:
              port (operator-local deployments); --admin-port Q moves
              them to 127.0.0.1:Q and makes the main port read-only (the
              public deployment); --read-only disables them entirely.
-             --store-dir D keeps the frozen mode: load every *.release
-             file in D (sorted by name, ids r0, r1, ...) into one
-             immutable snapshot. --port 0 picks an ephemeral port
+             --port 0 picks an ephemeral port
              (printed as `listening on HOST:PORT`); a client sending the
              `shutdown` line stops the server gracefully. --metrics
              prints the final telemetry exposition (Prometheus text)
@@ -251,17 +250,7 @@ fn run() -> Result<(), String> {
             let (rest, read_only) = extract_switch(&rest, "--read-only");
             let (rest, metrics) = extract_switch(&rest, "--metrics");
             let result = serve(
-                &parse_flags(
-                    &rest,
-                    &[
-                        "store",
-                        "store-dir",
-                        "port",
-                        "host",
-                        "threads",
-                        "admin-port",
-                    ],
-                )?,
+                &parse_flags(&rest, &["store", "port", "host", "threads", "admin-port"])?,
                 no_cache,
                 read_only,
             );
@@ -716,6 +705,11 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Serves a live [`ReleaseStore`]: query verbs resolve namespaces
+/// against hot-swapped snapshots; admin verbs mutate the store — on the
+/// main port by default, on a separate loopback-only port with
+/// `--admin-port` (the main port then serves read-only), or nowhere
+/// with `--read-only`.
 fn serve(flags: &HashMap<String, String>, no_cache: bool, read_only: bool) -> Result<(), String> {
     let port: u16 = parse(required(flags, "port")?, "port")?;
     let host = flags.get("host").map_or("127.0.0.1", String::as_str);
@@ -733,84 +727,7 @@ fn serve(flags: &HashMap<String, String>, no_cache: bool, read_only: bool) -> Re
         .map(|s| parse(s, "admin port"))
         .transpose()?;
 
-    match (flags.get("store"), flags.get("store-dir")) {
-        (Some(_), Some(_)) => {
-            return Err("--store (live) and --store-dir (frozen) are mutually exclusive".into())
-        }
-        (Some(dir), None) => {
-            return serve_live(dir, host, port, threads, no_cache, read_only, admin_port)
-        }
-        (None, Some(_)) => {}
-        (None, None) => return Err("serve needs --store (live) or --store-dir (frozen)".into()),
-    }
-    if no_cache || read_only || admin_port.is_some() {
-        return Err(
-            "--no-cache/--read-only/--admin-port apply to the live store only (serve --store)"
-                .into(),
-        );
-    }
-    let dir = required(flags, "store-dir")?;
-
-    // Deterministic id assignment: every *.release file, sorted by name.
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read --store-dir {dir:?}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "release"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no *.release files in --store-dir {dir:?}"));
-    }
-    let mut stored = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        stored.push(
-            read_release(BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))?,
-        );
-    }
-
-    let service = QueryService::from_stored(stored);
-    for (record, path) in service.releases().zip(&paths) {
-        println!(
-            "{}: {} (eps {}, delta {}) from {}",
-            record.id(),
-            record.kind(),
-            record.eps(),
-            record.delta(),
-            path.display()
-        );
-    }
-    let server = Server::bind((host, port), service)
-        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?
-        .with_threads(threads);
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {addr}");
-    // The smoke tests parse the line above from a pipe; make sure it is
-    // visible before the first connection arrives.
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    let stats = server.run().map_err(|e| e.to_string())?;
-    println!(
-        "shut down after {} connections, {} requests ({} connection errors)",
-        stats.connections, stats.requests, stats.connection_errors
-    );
-    Ok(())
-}
-
-/// Serves a live [`ReleaseStore`]: query verbs resolve namespaces
-/// against hot-swapped snapshots; admin verbs mutate the store — on the
-/// main port by default, on a separate loopback-only port with
-/// `--admin-port` (the main port then serves read-only), or nowhere
-/// with `--read-only`.
-fn serve_live(
-    dir: &str,
-    host: &str,
-    port: u16,
-    threads: usize,
-    no_cache: bool,
-    read_only: bool,
-    admin_port: Option<u16>,
-) -> Result<(), String> {
-    use privpath::serve::{RequestHandler, StoreHandler};
+    let dir = required(flags, "store")?;
     let store = Arc::new(
         ReleaseStore::open(dir)
             .map_err(|e| e.to_string())?
@@ -855,6 +772,8 @@ fn serve_live(
         .with_threads(threads);
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!("listening on {addr}");
+    // The smoke tests parse the line above from a pipe; make sure it is
+    // visible before the first connection arrives.
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let stats = server.run().map_err(|e| e.to_string())?;
     if let Some(admin) = admin {

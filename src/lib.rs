@@ -34,10 +34,10 @@
 //!   [`QueryRequest`](serve::QueryRequest) /
 //!   [`QueryResponse`](serve::QueryResponse) line protocol (release refs
 //!   optionally namespace-qualified), the [admin verbs](serve::admin)
-//!   driving a live store, the `(release, source)` batch
-//!   [`planner`](serve::planner), and a dependency-free thread-pooled
-//!   TCP [`server`](serve::server) — over a frozen snapshot or a live
-//!   store — with a matching [`client`](serve::client).
+//!   driving a live store, the [`StoreHandler`](serve::StoreHandler)
+//!   that answers every query verb, and a dependency-free thread-pooled
+//!   TCP [`server`](serve::server) over a live store, with a matching
+//!   [`client`](serve::client).
 //!
 //! See `README.md` for a tour (including the engine architecture) and
 //! `EXPERIMENTS.md` for the reproduction of every theorem-level claim.
@@ -105,7 +105,6 @@ pub mod prelude {
         private_matching, private_matching_objective, MatchingObjective, MatchingParams,
     };
     pub use privpath_core::mst::{private_mst, MstParams};
-    pub use privpath_core::persist::{read_shortest_path_release, write_shortest_path_release};
     pub use privpath_core::shortcut::{shortcut_apsp, ShortcutApspParams, ShortcutApspRelease};
     pub use privpath_core::shortest_path::{
         private_shortest_paths, ShortestPathParams, ShortestPathRelease,
@@ -126,7 +125,7 @@ pub mod prelude {
     };
     pub use privpath_graph::{EdgeId, EdgeWeights, GraphError, NodeId, Path, Topology};
     pub use privpath_serve::{
-        AdminRequest, AdminResponse, Client, QueryPlan, QueryRequest, QueryResponse, ReleaseRef,
+        AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef,
         ReleaseSummary, Server,
     };
     pub use privpath_store::{

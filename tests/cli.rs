@@ -405,7 +405,8 @@ fn serve_and_query_over_tcp() {
     let prefix = tmp("served");
     let prefix_str = prefix.to_str().unwrap();
     let store = tmp("served_store");
-    std::fs::create_dir_all(&store).expect("create store dir");
+    // A rerun must not find the namespace from the last one.
+    let _ = std::fs::remove_dir_all(&store);
     let store_str = store.to_str().unwrap();
 
     run_ok(&[
@@ -418,22 +419,35 @@ fn serve_and_query_over_tcp() {
         "11",
     ]);
     run_ok(&[
-        "release",
+        "store",
+        "init",
+        "--dir",
+        store_str,
+        "--namespace",
+        "demo",
         "--topo",
         &format!("{prefix_str}.topo"),
         "--weights",
         &format!("{prefix_str}.weights"),
-        "--mechanism",
-        "shortest-path,synthetic-graph",
-        "--eps",
-        "1.0",
-        "--out",
-        &format!("{store_str}/demo"),
     ]);
+    for mechanism in ["shortest-path", "synthetic-graph"] {
+        run_ok(&[
+            "store",
+            "publish",
+            "--dir",
+            store_str,
+            "--namespace",
+            "demo",
+            "--mechanism",
+            mechanism,
+            "--eps",
+            "1.0",
+        ]);
+    }
 
     // Ephemeral port; the server prints `listening on HOST:PORT`.
     let mut server = Command::new(bin())
-        .args(["serve", "--store-dir", store_str, "--port", "0"])
+        .args(["serve", "--store", store_str, "--read-only", "--port", "0"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn serve");
@@ -449,7 +463,8 @@ fn serve_and_query_over_tcp() {
         }
     };
 
-    // Distance query answered over the wire, by release id.
+    // Distance query answered over the wire, by bare release id (the
+    // store holds one namespace).
     let out = run_ok(&[
         "query",
         "--connect",
@@ -464,7 +479,7 @@ fn serve_and_query_over_tcp() {
     assert!(out.contains("estimated travel time 0 -> 30"), "{out}");
     assert!(out.contains("release r0"), "{out}");
 
-    // Both stored releases are listed with their metadata.
+    // Both published releases are listed with their metadata.
     let out = run_ok(&["query", "--connect", &addr, "--op", "list"]);
     assert!(out.contains("r0 shortest-path eps=1"), "{out}");
     assert!(out.contains("r1 synthetic-graph eps=1"), "{out}");

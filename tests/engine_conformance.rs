@@ -621,26 +621,48 @@ fn persistence_roundtrips_preserve_answers() {
 }
 
 #[test]
-fn legacy_v1_release_files_still_load() {
+fn legacy_release_headers_are_refused() {
+    // Only `privpath-release v3` loads. The retired v1 (shortest-path
+    // only) and v2 (no accuracy line) headers are typed persistence
+    // errors: no panic, no silent upgrade to a contract-less release.
     let (topo, w) = graph_workload(20, 50, 23);
     let mut rng = StdRng::seed_from_u64(24);
-    let params = ShortestPathParams::new(eps(0.7), 0.05).unwrap();
-    let release = private_shortest_paths(&topo, &w, &params, &mut rng).unwrap();
-    let mut buf = Vec::new();
-    write_shortest_path_release(&mut buf, &release).unwrap();
-
-    let stored = read_release(BufReader::new(buf.as_slice())).unwrap();
-    assert_eq!(stored.release.kind(), ReleaseKind::ShortestPath);
-    assert_eq!(stored.eps, 0.7);
-    let oracle = stored.release.as_distance().unwrap();
-    let d = oracle.distance(NodeId::new(0), NodeId::new(19)).unwrap();
-    assert_eq!(
-        d.to_bits(),
-        release
-            .estimated_distance(NodeId::new(0), NodeId::new(19))
-            .unwrap()
-            .to_bits()
-    );
+    let mut engine = ReleaseEngine::new(topo, w).unwrap();
+    engine
+        .release(
+            &mechanisms::ShortestPaths,
+            &ShortestPathParams::new(eps(0.7), 0.05).unwrap(),
+            &mut rng,
+        )
+        .unwrap();
+    engine
+        .release(
+            &mechanisms::SyntheticGraph,
+            &mechanisms::SyntheticGraphParams::new(eps(1.0)),
+            &mut rng,
+        )
+        .unwrap();
+    for record in engine.releases() {
+        let mut buf = Vec::new();
+        engine.save(record.id(), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let body = text.strip_prefix("privpath-release v3\n").unwrap();
+        let v2_body: String = body
+            .lines()
+            .filter(|l| !l.starts_with("accuracy "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for legacy in [
+            format!("privpath-sp-release v1\n{body}"),
+            format!("privpath-release v2\n{v2_body}"),
+        ] {
+            match read_release(BufReader::new(legacy.as_bytes())) {
+                Err(EngineError::Persist(msg)) => assert!(msg.contains("bad header"), "{msg}"),
+                Err(other) => panic!("{}: expected a persist error, got {other}", record.kind()),
+                Ok(_) => panic!("{}: legacy header accepted", record.kind()),
+            }
+        }
+    }
 }
 
 #[test]
@@ -1010,18 +1032,6 @@ fn persistence_round_trips_the_accuracy_contract() {
             "{} contract did not round-trip",
             record.kind()
         );
-
-        // A v2 file (header downgraded, accuracy line dropped) still
-        // loads — with no contract.
-        let v2 = text
-            .replacen("privpath-release v3", "privpath-release v2", 1)
-            .lines()
-            .filter(|l| !l.starts_with("accuracy "))
-            .map(|l| format!("{l}\n"))
-            .collect::<String>();
-        let legacy = read_release(BufReader::new(v2.as_bytes())).unwrap();
-        assert!(legacy.accuracy.is_none());
-        assert_eq!(legacy.eps, stored.eps);
     }
 }
 

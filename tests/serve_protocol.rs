@@ -1,11 +1,14 @@
-//! Serve-path conformance: the wire codec round-trips, the query planner
-//! agrees with per-query answers on every release kind, and concurrent
-//! `QueryService` readers agree with single-threaded serving.
+//! Serve-path conformance: the wire codec round-trips, the store's
+//! request handler answers every verb on every release kind, and
+//! concurrent `QueryService` readers agree with single-threaded serving.
 
 use privpath::prelude::*;
+use privpath::serve::{ErrorCode, RequestHandler, StoreHandler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
@@ -71,6 +74,74 @@ fn all_kinds_engine(n: usize, seed: u64) -> ReleaseEngine {
     engine
 }
 
+/// A read-only handler over a fresh single-namespace store that holds
+/// one release of every storable kind (all six fit one random tree), in
+/// publish order `r0..r5`. The store directory is removed on drop.
+struct KindsStore {
+    dir: PathBuf,
+    store: Arc<ReleaseStore>,
+    handler: StoreHandler,
+}
+
+const STORED_KINDS: [ReleaseKind; 6] = [
+    ReleaseKind::ShortestPath,
+    ReleaseKind::Tree,
+    ReleaseKind::BoundedWeight,
+    ReleaseKind::SyntheticGraph,
+    ReleaseKind::AllPairsBaseline,
+    ReleaseKind::ShortcutApsp,
+];
+
+impl KindsStore {
+    fn new(n: usize, seed: u64) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "privpath-serve-protocol-{seed}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = privpath::graph::generators::random_tree_prufer(n, &mut rng);
+        let weights =
+            privpath::graph::generators::uniform_weights(topo.num_edges(), 1.0, 9.0, &mut rng);
+        let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(seed));
+        store.create_namespace("t", topo, weights, None).unwrap();
+        for kind in STORED_KINDS {
+            let mut spec = ReleaseSpec::new(kind, eps(1.0)).unwrap();
+            if matches!(kind, ReleaseKind::BoundedWeight | ReleaseKind::ShortcutApsp) {
+                spec = spec.with_max_weight(10.0).unwrap();
+            }
+            store.publish("t", &spec).unwrap();
+        }
+        let handler = StoreHandler::read_only(Arc::clone(&store));
+        KindsStore {
+            dir,
+            store,
+            handler,
+        }
+    }
+
+    /// The namespace's current snapshot view, for reference answers.
+    fn service(&self) -> QueryService {
+        self.store.snapshot("t").unwrap().service().clone()
+    }
+
+    /// Sends one request line through the handler and parses the
+    /// response line, checking it re-renders byte for byte (nothing is
+    /// lost on the wire).
+    fn ask(&self, req: &QueryRequest) -> QueryResponse {
+        let line = self.handler.handle(&req.to_string());
+        let resp: QueryResponse = line.parse().unwrap();
+        assert_eq!(resp.to_string(), line, "response changed on the wire");
+        resp
+    }
+}
+
+impl Drop for KindsStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 fn shuffled<T>(mut items: Vec<T>, rng: &mut StdRng) -> Vec<T> {
     // Fisher-Yates; the vendored rand has no shuffle helper.
     for i in (1..items.len()).rev() {
@@ -81,171 +152,63 @@ fn shuffled<T>(mut items: Vec<T>, rng: &mut StdRng) -> Vec<T> {
 }
 
 #[test]
-fn planner_matches_per_query_answers_for_every_kind() {
+fn batch_matches_per_query_answers_for_every_kind() {
     let n = 24;
-    let engine = all_kinds_engine(n, 41);
-    let service = engine.snapshot();
-    assert_eq!(service.len(), 7);
+    let kinds = KindsStore::new(n, 41);
+    let service = kinds.service();
+    assert_eq!(service.len(), STORED_KINDS.len());
 
-    // A mixed, shuffled batch: every release kind, heavy source reuse.
+    // Per kind: a shuffled batch with heavy source reuse, answered once
+    // cold (every source searched) and once warm (every source from the
+    // snapshot's cache). Both must equal the per-query answers.
     let mut rng = StdRng::seed_from_u64(7);
-    let mut requests = Vec::new();
     for record in service.releases() {
+        let mut pairs = Vec::new();
         for _ in 0..4 {
             let from = NodeId::new(rng.gen_range(0..n));
             for _ in 0..6 {
-                requests.push(QueryRequest::Distance {
-                    release: record.id().into(),
-                    from,
-                    to: NodeId::new(rng.gen_range(0..n)),
-                    gamma: None,
-                });
+                pairs.push((from, NodeId::new(rng.gen_range(0..n))));
             }
         }
-    }
-    let requests = shuffled(requests, &mut rng);
-
-    let plan = QueryPlan::build(&requests);
-    // Grouping is exactly by (release ref, source).
-    let mut keys: Vec<(String, usize)> = plan
-        .groups()
-        .iter()
-        .map(|g| (g.release.to_string(), g.source.index()))
-        .collect();
-    let covered: usize = plan.groups().iter().map(|g| g.members.len()).sum();
-    assert_eq!(covered, requests.len());
-    keys.sort_unstable();
-    let before = keys.len();
-    keys.dedup();
-    assert_eq!(keys.len(), before, "duplicate (release, source) group");
-
-    let answers = plan.execute(&service, &requests);
-    assert_eq!(answers.len(), requests.len());
-    for (req, ans) in requests.iter().zip(&answers) {
-        let QueryRequest::Distance {
-            release, from, to, ..
-        } = req
-        else {
-            unreachable!()
+        let pairs = shuffled(pairs, &mut rng);
+        let oracle = service.query(record.id()).unwrap();
+        let req = QueryRequest::DistanceBatch {
+            release: record.id().into(),
+            pairs: pairs.clone(),
+            gamma: None,
         };
-        let expected = service
-            .query(release.id())
-            .unwrap()
-            .distance(*from, *to)
-            .unwrap();
-        match ans {
-            QueryResponse::Distance { value, bound } => {
-                assert_eq!(
-                    *value, expected,
-                    "planner disagrees with per-query answer on {req}"
-                );
-                assert!(bound.is_none(), "no gamma requested, no bound expected");
+        for pass in ["cold", "warm"] {
+            match kinds.ask(&req) {
+                QueryResponse::Distances { values, bound } => {
+                    assert_eq!(values.len(), pairs.len());
+                    for (&(u, v), d) in pairs.iter().zip(&values) {
+                        assert_eq!(
+                            *d,
+                            oracle.distance(u, v).unwrap(),
+                            "{} ({pass}): batch disagrees with per-query answer on {u}->{v}",
+                            record.kind()
+                        );
+                    }
+                    assert!(bound.is_none(), "no gamma requested, no bound expected");
+                }
+                other => panic!("expected distances for {}, got {other}", record.kind()),
             }
-            other => panic!("expected a distance for {req}, got {other}"),
         }
-    }
-}
-
-#[test]
-fn planner_isolates_failing_queries_within_a_group() {
-    let n = 16;
-    let engine = all_kinds_engine(n, 43);
-    let service = engine.snapshot();
-    let id = service.releases().next().unwrap().id();
-    let src = NodeId::new(3);
-    let requests = vec![
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(5),
+        // Single `distance` lines agree too.
+        let (u, v) = pairs[0];
+        let resp = kinds.ask(&QueryRequest::Distance {
+            release: record.id().into(),
+            from: u,
+            to: v,
             gamma: None,
-        },
-        // Out of range: poisons a naive whole-batch answer.
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(n + 100),
-            gamma: None,
-        },
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(9),
-            gamma: None,
-        },
-    ];
-    let answers = privpath::serve::answer_all(&service, &requests);
-    assert!(matches!(answers[0], QueryResponse::Distance { .. }));
-    assert!(matches!(
-        answers[1],
-        QueryResponse::Error {
-            code: privpath::serve::ErrorCode::OutOfRange,
-            ..
-        }
-    ));
-    assert!(matches!(answers[2], QueryResponse::Distance { .. }));
-}
-
-#[test]
-fn planner_answers_mixed_request_kinds_in_order() {
-    let engine = all_kinds_engine(12, 44);
-    let service = engine.snapshot();
-    let sp = service.releases().next().unwrap().id();
-    let requests = vec![
-        QueryRequest::BudgetStatus { namespace: None },
-        QueryRequest::Distance {
-            release: sp.into(),
-            from: NodeId::new(0),
-            to: NodeId::new(5),
-            gamma: None,
-        },
-        QueryRequest::ListReleases { namespace: None },
-        QueryRequest::Path {
-            release: sp.into(),
-            from: NodeId::new(0),
-            to: NodeId::new(5),
-        },
-        QueryRequest::DistanceBatch {
-            release: sp.into(),
-            pairs: vec![
-                (NodeId::new(1), NodeId::new(2)),
-                (NodeId::new(1), NodeId::new(3)),
-            ],
-            gamma: None,
-        },
-        QueryRequest::Accuracy {
-            release: sp.into(),
-            gamma: 0.05,
-        },
-    ];
-    let answers = privpath::serve::answer_all(&service, &requests);
-    assert!(matches!(answers[0], QueryResponse::Budget { .. }));
-    assert!(matches!(answers[1], QueryResponse::Distance { .. }));
-    match &answers[2] {
-        QueryResponse::Releases(rs) => assert_eq!(rs.len(), 7),
-        other => panic!("expected releases, got {other}"),
-    }
-    match &answers[3] {
-        QueryResponse::Path(nodes) => {
-            assert_eq!(nodes.first(), Some(&NodeId::new(0)));
-            assert_eq!(nodes.last(), Some(&NodeId::new(5)));
-        }
-        other => panic!("expected a path, got {other}"),
-    }
-    match &answers[4] {
-        QueryResponse::Distances { values, bound } => {
-            assert_eq!(values.len(), 2);
-            assert!(bound.is_none());
-        }
-        other => panic!("expected distances, got {other}"),
-    }
-    match &answers[5] {
-        QueryResponse::Accuracy(b) => {
-            assert_eq!(b.theorem(), Theorem::Cor56);
-            assert_eq!(b.gamma(), 0.05);
-            assert!(b.alpha() > 0.0);
-        }
-        other => panic!("expected an accuracy bound, got {other}"),
+        });
+        assert_eq!(
+            resp,
+            QueryResponse::Distance {
+                value: oracle.distance(u, v).unwrap(),
+                bound: None
+            }
+        );
     }
 }
 
@@ -332,37 +295,6 @@ fn snapshot_is_isolated_from_later_releases() {
 }
 
 #[test]
-fn service_from_stored_assigns_sequential_ids() {
-    let engine = all_kinds_engine(10, 47);
-    let mut stored = Vec::new();
-    for record in engine.releases() {
-        // MST/matching are not persistable; all seven here are.
-        let mut buf = Vec::new();
-        if engine.save(record.id(), &mut buf).is_ok() {
-            stored.push(
-                privpath::engine::read_release(std::io::BufReader::new(buf.as_slice())).unwrap(),
-            );
-        }
-    }
-    // hld-tree has no persistence format; the other six round-trip.
-    assert_eq!(stored.len(), 6);
-    let service = QueryService::from_stored(stored);
-    assert_eq!(service.len(), 6);
-    let ids: Vec<u64> = service.releases().map(|r| r.id().value()).collect();
-    assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-    assert_eq!(service.spent(), (6.0, 0.0));
-    assert_eq!(service.remaining(), None);
-    for record in service.releases() {
-        let d = service
-            .query(record.id())
-            .unwrap()
-            .distance(NodeId::new(0), NodeId::new(9))
-            .unwrap();
-        assert!(d.is_finite());
-    }
-}
-
-#[test]
 fn release_id_round_trips_and_rejects_garbage() {
     let id: ReleaseId = "r3".parse().unwrap();
     assert_eq!(id.value(), 3);
@@ -380,54 +312,44 @@ fn release_id_round_trips_and_rejects_garbage() {
 
 #[test]
 fn unknown_release_and_unsupported_kind_map_to_wire_codes() {
-    let mut rng = StdRng::seed_from_u64(48);
-    let topo = privpath::graph::generators::random_tree_prufer(8, &mut rng);
-    let weights =
-        privpath::graph::generators::uniform_weights(topo.num_edges(), 1.0, 5.0, &mut rng);
-    let mut engine = ReleaseEngine::new(topo, weights).unwrap();
-    let mst = engine
-        .release(
-            &mechanisms::Mst,
-            &privpath::core::mst::MstParams::new(eps(1.0)),
-            &mut rng,
-        )
-        .unwrap();
-    let service = engine.snapshot();
+    let kinds = KindsStore::new(8, 48);
 
     let missing: ReleaseId = "r99".parse().unwrap();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Distance {
-            release: missing.into(),
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            gamma: None,
-        },
-    );
+    let resp = kinds.ask(&QueryRequest::Distance {
+        release: missing.into(),
+        from: NodeId::new(0),
+        to: NodeId::new(1),
+        gamma: None,
+    });
     assert!(matches!(
         resp,
         QueryResponse::Error {
-            code: privpath::serve::ErrorCode::UnknownRelease,
+            code: ErrorCode::UnknownRelease,
             ..
         }
     ));
 
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Distance {
-            release: mst.into(),
+    // A route from a route-capable kind, and the `unsupported` refusal
+    // from every value-only kind.
+    for (kind, record) in STORED_KINDS.iter().zip(kinds.service().releases()) {
+        assert_eq!(record.kind(), *kind);
+        let resp = kinds.ask(&QueryRequest::Path {
+            release: record.id().into(),
             from: NodeId::new(0),
-            to: NodeId::new(1),
-            gamma: None,
-        },
-    );
-    assert!(matches!(
-        resp,
-        QueryResponse::Error {
-            code: privpath::serve::ErrorCode::Unsupported,
-            ..
+            to: NodeId::new(5),
+        });
+        match (kind, resp) {
+            (ReleaseKind::ShortestPath, QueryResponse::Path(nodes)) => {
+                assert_eq!(nodes.first(), Some(&NodeId::new(0)));
+                assert_eq!(nodes.last(), Some(&NodeId::new(5)));
+            }
+            (_, QueryResponse::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Unsupported, "{kind}: {message}");
+                assert!(message.contains("value-only"), "{message}");
+            }
+            (_, other) => panic!("{kind}: unexpected path answer {other}"),
         }
-    ));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -772,9 +694,8 @@ fn malformed_lines_are_rejected_with_reasons() {
 
 #[test]
 fn distance_queries_carry_error_bars_for_every_kind() {
-    let n = 20;
-    let engine = all_kinds_engine(n, 51);
-    let service = engine.snapshot();
+    let kinds = KindsStore::new(20, 51);
+    let service = kinds.service();
     for record in service.releases() {
         let gamma = 0.1;
         let expected = service.accuracy(record.id(), gamma).unwrap();
@@ -783,45 +704,37 @@ fn distance_queries_carry_error_bars_for_every_kind() {
             "{} bound degenerate",
             record.kind()
         );
-        // answer_one and the planner must attach the same bar, and it
-        // must survive the wire codec.
-        let req = QueryRequest::Distance {
+        // The handler attaches the contract's bar, and it survives the
+        // wire codec (`ask` checks the round trip).
+        let resp = kinds.ask(&QueryRequest::Distance {
             release: record.id().into(),
             from: NodeId::new(0),
             to: NodeId::new(5),
             gamma: Some(gamma),
-        };
-        let direct = privpath::serve::answer_one(&service, &req);
-        let planned = privpath::serve::answer_all(&service, std::slice::from_ref(&req));
-        assert_eq!(direct, planned[0], "planner/direct divergence");
-        let QueryResponse::Distance { value, bound } = direct else {
-            panic!("expected a distance for {}", record.kind());
+        });
+        let QueryResponse::Distance { value, bound } = resp else {
+            panic!("expected a distance for {}, got {resp}", record.kind());
         };
         assert!(value.is_finite());
         assert_eq!(bound, Some(expected.alpha()), "{}", record.kind());
-        let wire: QueryResponse = planned[0].to_string().parse().unwrap();
-        assert_eq!(wire, planned[0], "error bar lost on the wire");
     }
 }
 
 #[test]
 fn batch_queries_share_one_error_bar() {
-    let engine = all_kinds_engine(16, 52);
-    let service = engine.snapshot();
+    let kinds = KindsStore::new(16, 52);
+    let service = kinds.service();
     let id = service.releases().next().unwrap().id();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::DistanceBatch {
-            release: id.into(),
-            pairs: vec![
-                (NodeId::new(0), NodeId::new(3)),
-                (NodeId::new(2), NodeId::new(9)),
-            ],
-            gamma: Some(0.05),
-        },
-    );
+    let resp = kinds.ask(&QueryRequest::DistanceBatch {
+        release: id.into(),
+        pairs: vec![
+            (NodeId::new(0), NodeId::new(3)),
+            (NodeId::new(2), NodeId::new(9)),
+        ],
+        gamma: Some(0.05),
+    });
     let QueryResponse::Distances { values, bound } = resp else {
-        panic!("expected distances");
+        panic!("expected distances, got {resp}");
     };
     assert_eq!(values.len(), 2);
     assert_eq!(
@@ -833,11 +746,19 @@ fn batch_queries_share_one_error_bar() {
 
 #[test]
 fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
-    let engine = all_kinds_engine(16, 53);
-    let service = engine.snapshot();
+    let kinds = KindsStore::new(16, 53);
+    let service = kinds.service();
+    let accuracy = |id: ReleaseId, gamma: f64| match kinds.ask(&QueryRequest::Accuracy {
+        release: id.into(),
+        gamma,
+    }) {
+        QueryResponse::Accuracy(b) => b,
+        other => panic!("expected an accuracy bound, got {other}"),
+    };
     for record in service.releases() {
-        let tight = service.accuracy(record.id(), 0.01).unwrap();
-        let loose = service.accuracy(record.id(), 0.5).unwrap();
+        let tight = accuracy(record.id(), 0.01);
+        let loose = accuracy(record.id(), 0.5);
+        assert_eq!(tight, service.accuracy(record.id(), 0.01).unwrap());
         assert!(
             tight.alpha() >= loose.alpha(),
             "{}: shrinking gamma must not shrink the bound",
@@ -846,17 +767,14 @@ fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
     }
     // Invalid gammas are Query errors on the wire, not crashes.
     let id = service.releases().next().unwrap().id();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Accuracy {
-            release: id.into(),
-            gamma: 1.5,
-        },
-    );
+    let resp = kinds.ask(&QueryRequest::Accuracy {
+        release: id.into(),
+        gamma: 1.5,
+    });
     assert!(matches!(
         resp,
         QueryResponse::Error {
-            code: privpath::serve::ErrorCode::Query,
+            code: ErrorCode::Query,
             ..
         }
     ));
@@ -864,31 +782,29 @@ fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
 
 #[test]
 fn list_carries_kind_cost_and_accuracy_per_release() {
-    let engine = all_kinds_engine(16, 54);
-    let service = engine.snapshot();
-    let resp =
-        privpath::serve::answer_one(&service, &QueryRequest::ListReleases { namespace: None });
+    let kinds = KindsStore::new(16, 54);
+    let service = kinds.service();
+    // `ask` checks the whole summary — accuracy triple included —
+    // survives the codec.
+    let resp = kinds.ask(&QueryRequest::ListReleases { namespace: None });
     let QueryResponse::Releases(rs) = &resp else {
-        panic!("expected releases");
+        panic!("expected releases, got {resp}");
     };
-    assert_eq!(rs.len(), 7);
+    assert_eq!(rs.len(), STORED_KINDS.len());
     for (summary, record) in rs.iter().zip(service.releases()) {
+        assert_eq!(summary.id, record.id());
         assert_eq!(summary.kind, record.kind());
         assert_eq!(summary.eps, record.eps());
         assert_eq!(summary.delta, record.delta());
         let expected = service.accuracy(record.id(), DEFAULT_GAMMA).unwrap();
         assert_eq!(summary.accuracy, Some(expected), "{}", record.kind());
     }
-    // The whole summary — accuracy triple included — survives the codec.
-    let wire: QueryResponse = resp.to_string().parse().unwrap();
-    assert_eq!(wire, resp);
 }
 
 #[test]
 fn invalid_gamma_on_distance_fails_like_accuracy_does() {
-    let engine = all_kinds_engine(12, 55);
-    let service = engine.snapshot();
-    let id = service.releases().next().unwrap().id();
+    let kinds = KindsStore::new(12, 55);
+    let id = kinds.service().releases().next().unwrap().id();
     for gamma in [0.0, 1.0, 1.5, -0.2] {
         // A bad gamma must be an error, not a silently bar-less answer
         // (which would be indistinguishable from "no contract").
@@ -905,21 +821,16 @@ fn invalid_gamma_on_distance_fails_like_accuracy_does() {
                 gamma: Some(gamma),
             },
         ] {
-            let direct = privpath::serve::answer_one(&service, &req);
+            let resp = kinds.ask(&req);
             assert!(
                 matches!(
-                    direct,
+                    resp,
                     QueryResponse::Error {
-                        code: privpath::serve::ErrorCode::Query,
+                        code: ErrorCode::Query,
                         ..
                     }
                 ),
-                "gamma {gamma}: expected a query error, got {direct}"
-            );
-            let planned = privpath::serve::answer_all(&service, std::slice::from_ref(&req));
-            assert_eq!(
-                planned[0], direct,
-                "planner/direct divergence at gamma {gamma}"
+                "gamma {gamma}: expected a query error, got {resp}"
             );
         }
     }
@@ -927,19 +838,18 @@ fn invalid_gamma_on_distance_fails_like_accuracy_does() {
 
 #[test]
 fn shortcut_release_is_served_on_every_wire_surface() {
-    // The new kind flows through list / accuracy / bound responses and
-    // each survives the codec.
-    let engine = all_kinds_engine(24, 91);
-    let service = engine.snapshot();
-    let record = service
+    // The shortcut kind flows through list / accuracy / bound responses
+    // and each survives the codec (checked by `ask`).
+    let kinds = KindsStore::new(24, 91);
+    let id = kinds
+        .service()
         .releases()
         .find(|r| r.kind() == ReleaseKind::ShortcutApsp)
-        .expect("shortcut release registered");
-    let id = record.id();
+        .expect("shortcut release published")
+        .id();
 
     // list: the record names the kind and an evaluated cnx-shortcut bound.
-    let list =
-        privpath::serve::answer_one(&service, &QueryRequest::ListReleases { namespace: None });
+    let list = kinds.ask(&QueryRequest::ListReleases { namespace: None });
     let QueryResponse::Releases(rs) = &list else {
         panic!("expected releases, got {list}");
     };
@@ -947,24 +857,17 @@ fn shortcut_release_is_served_on_every_wire_surface() {
     assert_eq!(summary.kind, ReleaseKind::ShortcutApsp);
     let bound = summary.accuracy.as_ref().expect("contract declared");
     assert_eq!(bound.theorem(), Theorem::CnxShortcut);
-    let wire: QueryResponse = list.to_string().parse().unwrap();
-    assert_eq!(wire, list);
 
     // accuracy: re-evaluable at any gamma over the wire.
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Accuracy {
-            release: id.into(),
-            gamma: 0.2,
-        },
-    );
+    let resp = kinds.ask(&QueryRequest::Accuracy {
+        release: id.into(),
+        gamma: 0.2,
+    });
     let QueryResponse::Accuracy(b) = &resp else {
         panic!("expected accuracy, got {resp}");
     };
     assert_eq!(b.theorem(), Theorem::CnxShortcut);
     assert!(b.alpha() < bound.alpha(), "looser gamma, smaller bound");
-    let wire: QueryResponse = resp.to_string().parse().unwrap();
-    assert_eq!(wire, resp);
 
     // distance / batch with gamma: answers carry the ±bound error bar.
     for req in [
@@ -983,14 +886,12 @@ fn shortcut_release_is_served_on_every_wire_surface() {
             gamma: Some(0.05),
         },
     ] {
-        let resp = privpath::serve::answer_one(&service, &req);
+        let resp = kinds.ask(&req);
         let attached = match &resp {
             QueryResponse::Distance { bound, .. } => *bound,
             QueryResponse::Distances { bound, .. } => *bound,
             other => panic!("expected a distance answer, got {other}"),
         };
         assert_eq!(attached, Some(bound.alpha()));
-        let wire: QueryResponse = resp.to_string().parse().unwrap();
-        assert_eq!(wire, resp);
     }
 }

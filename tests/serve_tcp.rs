@@ -1,40 +1,70 @@
 //! TCP serve-path tests: the in-process server speaks the line protocol,
 //! isolates per-connection errors, serves concurrent clients from one
-//! snapshot, and shuts down gracefully.
+//! store snapshot, and shuts down gracefully.
 
 use privpath::prelude::*;
+use privpath::serve::StoreHandler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
 }
 
-/// A served snapshot over a small tree with two releases, plus the
-/// engine that made it (for reference answers).
-fn serving_engine() -> ReleaseEngine {
-    let mut rng = StdRng::seed_from_u64(71);
-    let topo = privpath::graph::generators::random_tree_prufer(20, &mut rng);
-    let weights =
-        privpath::graph::generators::uniform_weights(topo.num_edges(), 1.0, 9.0, &mut rng);
-    let mut engine = ReleaseEngine::with_budget(topo, weights, eps(2.0), Delta::zero()).unwrap();
-    engine
-        .release(
-            &mechanisms::ShortestPaths,
-            &ShortestPathParams::new(eps(1.0), 0.05).unwrap(),
-            &mut rng,
-        )
-        .unwrap();
-    engine
-        .release(
-            &mechanisms::TreeAllPairs,
-            &TreeDistanceParams::new(eps(1.0)),
-            &mut rng,
-        )
-        .unwrap();
-    engine
+/// A single-namespace store over a small tree with two releases
+/// (`r0` shortest-path, `r1` tree) under an exactly-spent budget. The
+/// store directory is removed on drop.
+struct Served {
+    dir: PathBuf,
+    store: Arc<ReleaseStore>,
+}
+
+impl Served {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "privpath-serve-tcp-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(71);
+        let topo = privpath::graph::generators::random_tree_prufer(20, &mut rng);
+        let weights =
+            privpath::graph::generators::uniform_weights(topo.num_edges(), 1.0, 9.0, &mut rng);
+        let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(71));
+        store
+            .create_namespace("only", topo, weights, Some((eps(2.0), Delta::zero())))
+            .unwrap();
+        for kind in [ReleaseKind::ShortestPath, ReleaseKind::Tree] {
+            store
+                .publish("only", &ReleaseSpec::new(kind, eps(1.0)).unwrap())
+                .unwrap();
+        }
+        Served { dir, store }
+    }
+
+    /// The namespace's snapshot view, for reference answers.
+    fn service(&self) -> QueryService {
+        self.store.snapshot("only").unwrap().service().clone()
+    }
+
+    /// A server for the store's public, read-only endpoint.
+    fn bind(&self) -> Server {
+        let handler = StoreHandler::read_only(Arc::clone(&self.store));
+        Server::bind_handler("127.0.0.1:0", Arc::new(handler)).unwrap()
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 fn round_trip(stream: &mut TcpStream, line: &str) -> String {
@@ -63,13 +93,9 @@ fn scrape_series(client: &mut Client, series: &str) -> f64 {
 
 #[test]
 fn serves_typed_queries_over_tcp() {
-    let engine = serving_engine();
-    let service = engine.snapshot();
-    let running = Server::bind("127.0.0.1:0", service.clone())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let service = served.service();
+    let running = served.bind().with_threads(2).spawn().unwrap();
 
     let mut client = Client::connect(running.addr()).unwrap();
     let id: ReleaseId = "r0".parse().unwrap();
@@ -180,12 +206,8 @@ fn serves_typed_queries_over_tcp() {
 
 #[test]
 fn malformed_lines_and_bad_connections_are_isolated() {
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(2).spawn().unwrap();
 
     // A connection that sends garbage gets per-line error responses and
     // stays usable.
@@ -216,13 +238,9 @@ fn malformed_lines_and_bad_connections_are_isolated() {
 
 #[test]
 fn concurrent_tcp_clients_agree_with_local_answers() {
-    let engine = serving_engine();
-    let service = engine.snapshot();
-    let running = Server::bind("127.0.0.1:0", service.clone())
-        .unwrap()
-        .with_threads(4)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let service = served.service();
+    let running = served.bind().with_threads(4).spawn().unwrap();
     let addr = running.addr();
 
     let id: ReleaseId = "r1".parse().unwrap();
@@ -262,12 +280,8 @@ fn idle_connections_do_not_starve_new_clients() {
     // One worker, and a client parked on an open idle connection: the
     // worker multiplexes, so a second client (and the shutdown control
     // line) must still be served.
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(1)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(1).spawn().unwrap();
 
     let idle = TcpStream::connect(running.addr()).unwrap();
     let mut active = TcpStream::connect(running.addr()).unwrap();
@@ -291,12 +305,8 @@ fn pipelining_client_does_not_starve_siblings_or_shutdown() {
     // write. The per-pass cap must let a sibling connection (and the
     // shutdown line) interleave, and every pipelined request must still
     // be answered in order.
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(1)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(1).spawn().unwrap();
 
     let mut pipeliner = TcpStream::connect(running.addr()).unwrap();
     let n = 300;
@@ -332,12 +342,8 @@ fn pipelining_client_does_not_starve_siblings_or_shutdown() {
 
 #[test]
 fn oversized_lines_are_rejected_without_growing_forever() {
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(2).spawn().unwrap();
 
     // A newline-free stream past the cap gets an error and a closed
     // connection rather than an unbounded buffer. The writes and the
@@ -369,14 +375,11 @@ fn oversized_lines_are_rejected_without_growing_forever() {
 
 #[test]
 fn frozen_snapshot_server_answers_metrics_not_unsupported() {
-    // Regression: telemetry is read-only, so a frozen-snapshot server
-    // must serve the `metrics` verb instead of refusing it.
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    // Regression: telemetry is read-only, so a frozen endpoint — a
+    // store served read-only, with every admin verb refused — must serve
+    // the `metrics` verb instead of refusing it.
+    let served = Served::new();
+    let running = served.bind().with_threads(2).spawn().unwrap();
 
     let mut client = Client::connect(running.addr()).unwrap();
     let id: ReleaseId = "r0".parse().unwrap();
@@ -409,12 +412,8 @@ fn error_paths_count_before_the_early_return() {
     // response is written (a malformed line is visible in the next
     // scrape), and a connection torn down for an oversized line must
     // tick the connection-error counter before its early return.
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(2).spawn().unwrap();
     let addr = running.addr();
 
     let mut probe = Client::connect(addr).unwrap();
@@ -454,11 +453,8 @@ fn error_paths_count_before_the_early_return() {
 
 #[test]
 fn graceful_shutdown_acknowledges_and_stops_accepting() {
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().spawn().unwrap();
     let addr = running.addr();
 
     let mut client = Client::connect(addr).unwrap();
@@ -506,12 +502,8 @@ fn malformed_corpus_never_kills_a_worker() {
     // (Blank/whitespace-only lines are deliberately absent: the
     // protocol skips them without a response line.)
 
-    let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
-        .unwrap()
-        .with_threads(2)
-        .spawn()
-        .unwrap();
+    let served = Served::new();
+    let running = served.bind().with_threads(2).spawn().unwrap();
 
     let mut fuzz = TcpStream::connect(running.addr()).unwrap();
     for (i, bad) in CORPUS.iter().enumerate() {

@@ -337,23 +337,22 @@ fn live_server_drops_releases_and_namespaces() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A frozen single-snapshot server refuses admin verbs and namespaced
-/// refs with pointed errors (the protocol is shared; the capability is
-/// not).
+/// A frozen endpoint — a single-tenant store served read-only — refuses
+/// admin verbs and refs into namespaces it does not hold with pointed
+/// errors, and answers bare refs (the protocol is shared; the capability
+/// is not).
 #[test]
 fn frozen_server_refuses_admin_and_namespaced_refs() {
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    use privpath::serve::StoreHandler;
+    let dir = temp_store("frozen");
+    let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(5));
     let topo = privpath::graph::generators::path_graph(8);
-    let weights = EdgeWeights::constant(7, 1.0);
-    let mut engine = ReleaseEngine::new(topo, weights).unwrap();
-    let id = engine
-        .release(
-            &mechanisms::ShortestPaths,
-            &ShortestPathParams::new(eps(1.0), 0.05).unwrap(),
-            &mut rng,
-        )
+    store
+        .create_namespace("only", topo, EdgeWeights::constant(7, 1.0), None)
         .unwrap();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, eps(1.0)).unwrap();
+    let id = store.publish("only", &spec).unwrap().id;
+    let running = Server::bind_handler("127.0.0.1:0", Arc::new(StoreHandler::read_only(store)))
         .unwrap()
         .spawn()
         .unwrap();
@@ -365,12 +364,13 @@ fn frozen_server_refuses_admin_and_namespaced_refs() {
     match resp {
         QueryResponse::Error { code, message } => {
             assert_eq!(code, ErrorCode::Unsupported);
-            assert!(message.contains("live-store"), "{message}");
+            assert!(message.contains("read-only"), "{message}");
         }
         other => panic!("expected unsupported, got {other}"),
     }
 
-    // Namespaced refs: refused, bare refs answer.
+    // Refs into a namespace the store does not hold: refused, bare refs
+    // answer.
     let namespaced = QueryRequest::Distance {
         release: ReleaseRef::namespaced("metro", id).unwrap(),
         from: NodeId::new(0),
@@ -394,6 +394,7 @@ fn frozen_server_refuses_admin_and_namespaced_refs() {
 
     drop(client);
     running.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A read-only live handler answers queries from the live snapshots but
