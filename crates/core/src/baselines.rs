@@ -304,9 +304,10 @@ impl SyntheticGraphRelease {
 
     /// The estimated distance between `u` and `v` in the synthetic graph.
     ///
-    /// Runs on the calling thread's shared Dijkstra workspace: the released
-    /// weights were validated nonnegative at construction, so no per-query
-    /// weight scan or allocation is needed.
+    /// Runs on the calling thread's shared Dijkstra workspace and stops
+    /// once `v` is settled: the released weights were validated
+    /// nonnegative at construction, so no per-query weight scan or
+    /// allocation is needed.
     ///
     /// # Errors
     /// [`CoreError::Graph`] for invalid vertices or a disconnected pair.
@@ -314,7 +315,7 @@ impl SyntheticGraphRelease {
         self.topo.check_node(u)?;
         self.topo.check_node(v)?;
         with_thread_workspace(|ws| {
-            ws.run_unchecked(&self.topo, &self.released, u);
+            ws.run_to_unchecked(&self.topo, &self.released, u, v);
             ws.distance(v)
         })
         .ok_or(CoreError::Graph(privpath_graph::GraphError::Disconnected {

@@ -226,34 +226,58 @@ impl ShortestPathRelease {
         ))
     }
 
+    /// Every released distance from `s` (`f64::INFINITY` for unreachable
+    /// targets), read straight from the calling thread's workspace
+    /// without materializing parent arrays.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Graph`] if `s` is invalid.
+    pub fn distances_from(&self, s: NodeId) -> Result<Vec<f64>, CoreError> {
+        self.topo.check_node(s)?;
+        Ok(with_thread_workspace(|ws| {
+            ws.run_unchecked(&self.topo, &self.released, s);
+            ws.distances()
+        }))
+    }
+
     /// The released path from `s` to `t`: the shortest `s`-`t` path under
     /// the released weights.
+    ///
+    /// The search stops once `t` is settled and reads the route from the
+    /// workspace's parent links, so it is the same route
+    /// [`paths_from`](Self::paths_from) would give, without exploring the
+    /// rest of the graph or cloning a tree.
     ///
     /// # Errors
     /// Returns [`CoreError::Graph`] for invalid endpoints or a
     /// [`privpath_graph::GraphError::Disconnected`] pair.
     pub fn path(&self, s: NodeId, t: NodeId) -> Result<Path, CoreError> {
         self.topo.check_node(t)?;
-        let tree = self.paths_from(s)?;
-        tree.path_to(t)
-            .ok_or(CoreError::Graph(privpath_graph::GraphError::Disconnected {
-                from: s,
-                to: t,
-            }))
+        self.topo.check_node(s)?;
+        with_thread_workspace(|ws| {
+            ws.run_to_unchecked(&self.topo, &self.released, s, t);
+            ws.path_to(t)
+        })
+        .ok_or(CoreError::Graph(privpath_graph::GraphError::Disconnected {
+            from: s,
+            to: t,
+        }))
     }
 
     /// The `s`-`t` distance in the released graph. Biased upward by about
     /// `hops * shift_amount`; prefer dedicated distance mechanisms
     /// (Section 4) when the *value* rather than the *route* matters.
     ///
+    /// The search stops once `t` is settled; the value is bit-identical
+    /// to the full row's entry.
+    ///
     /// # Errors
     /// Same conditions as [`path`](Self::path).
     pub fn estimated_distance(&self, s: NodeId, t: NodeId) -> Result<f64, CoreError> {
         self.topo.check_node(s)?;
         self.topo.check_node(t)?;
-        // Distance-only query: skip materializing the tree's parent arrays.
         with_thread_workspace(|ws| {
-            ws.run_unchecked(&self.topo, &self.released, s);
+            ws.run_to_unchecked(&self.topo, &self.released, s, t);
             ws.distance(t)
         })
         .ok_or(CoreError::Graph(privpath_graph::GraphError::Disconnected {

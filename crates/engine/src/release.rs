@@ -59,11 +59,14 @@ pub trait DistanceRelease: Send + Sync {
     }
 
     /// Every released distance from one source, indexed by target
-    /// (unreachable targets are `+inf`). This is the serve-path **cache
-    /// slot**: one vector answers every `(source, *)` query against the
-    /// release, so a read-path cache keyed by `(release, source)` turns
-    /// repeated-source workloads into array lookups. Graph-replaying
-    /// releases override it to pay exactly one Dijkstra; the default maps
+    /// (unreachable targets are `+inf`). This is the row a read-path
+    /// cache keyed by `(release, source)` holds: one vector answers every
+    /// `(source, *)` query against the release. The store fills such rows
+    /// from batch reads only (through
+    /// [`source_distance_rows`](Self::source_distance_rows)); a
+    /// single-pair [`distance`](Self::distance) miss runs a search that
+    /// stops at its target and caches nothing. Graph-replaying releases
+    /// override it to pay exactly one Dijkstra; the default maps
     /// [`distance`](Self::distance) over all targets (cheap for
     /// table-backed kinds).
     ///
@@ -174,7 +177,7 @@ impl DistanceRelease for ShortestPathRelease {
 
     fn source_distances(&self, u: NodeId) -> Result<Vec<f64>, EngineError> {
         check_node(u.index(), DistanceRelease::num_nodes(self))?;
-        Ok(self.paths_from(u)?.distances().to_vec())
+        Ok(self.distances_from(u)?)
     }
 
     fn source_distance_rows(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, EngineError> {

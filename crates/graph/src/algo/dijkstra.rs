@@ -47,10 +47,10 @@ impl ShortestPathTree {
         self.source
     }
 
-    /// Distance from the source to `v`, or `None` if unreachable.
+    /// Distance from the source to `v`, or `None` if unreachable or out
+    /// of range.
     pub fn distance(&self, v: NodeId) -> Option<f64> {
-        let d = self.dist[v.index()];
-        d.is_finite().then_some(d)
+        self.dist.get(v.index()).copied().filter(|d| d.is_finite())
     }
 
     /// Raw distance slice (`f64::INFINITY` marks unreachable vertices).
@@ -58,37 +58,50 @@ impl ShortestPathTree {
         &self.dist
     }
 
-    /// Whether `v` is reachable from the source.
+    /// Whether `v` is reachable from the source (`false` out of range).
     pub fn is_reachable(&self, v: NodeId) -> bool {
-        self.dist[v.index()].is_finite()
+        self.distance(v).is_some()
     }
 
-    /// The predecessor edge of `v` on its shortest path, if any.
+    /// The predecessor edge of `v` on its shortest path, if any (`None`
+    /// out of range).
     pub fn parent_edge(&self, v: NodeId) -> Option<EdgeId> {
-        self.parent[v.index()].map(|(_, e)| e)
+        self.parent_of(v).map(|(_, e)| e)
+    }
+
+    fn parent_of(&self, v: NodeId) -> Option<(NodeId, EdgeId)> {
+        self.parent.get(v.index()).copied().flatten()
     }
 
     /// Reconstructs a shortest path from the source to `v`.
     ///
-    /// Returns `None` if `v` is unreachable. The path for `v == source` is
-    /// the trivial single-vertex path.
+    /// Returns `None` if `v` is unreachable or out of range. The path for
+    /// `v == source` is the trivial single-vertex path.
     pub fn path_to(&self, v: NodeId) -> Option<Path> {
-        if !self.is_reachable(v) {
-            return None;
-        }
-        let mut nodes = vec![v];
-        let mut edges = Vec::new();
-        let mut cur = v;
-        while let Some((p, e)) = self.parent[cur.index()] {
-            edges.push(e);
-            nodes.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.source);
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::new(nodes, edges))
+        self.is_reachable(v)
+            .then(|| walk_parents(self.source, v, |u| self.parent_of(u)))
     }
+}
+
+/// Rebuilds the `source`-to-`v` path by following `parent_of` links back
+/// from `v` until a vertex without a parent (the source) is reached.
+pub(crate) fn walk_parents(
+    source: NodeId,
+    v: NodeId,
+    parent_of: impl Fn(NodeId) -> Option<(NodeId, EdgeId)>,
+) -> Path {
+    let mut nodes = vec![v];
+    let mut edges = Vec::new();
+    let mut cur = v;
+    while let Some((p, e)) = parent_of(cur) {
+        edges.push(e);
+        nodes.push(p);
+        cur = p;
+    }
+    debug_assert_eq!(cur, source);
+    nodes.reverse();
+    edges.reverse();
+    Path::new(nodes, edges)
 }
 
 /// Validates the `(topo, weights)` pair for Dijkstra: length match and no
@@ -242,6 +255,17 @@ mod tests {
         assert_eq!(spt.distance(NodeId::new(2)), None);
         assert!(spt.path_to(NodeId::new(2)).is_none());
         assert!(!spt.is_reachable(NodeId::new(2)));
+    }
+
+    #[test]
+    fn out_of_range_vertex_is_none_not_a_panic() {
+        let (topo, w) = diamond();
+        let spt = dijkstra(&topo, &w, NodeId::new(0)).unwrap();
+        let far = NodeId::new(topo.num_nodes() + 5);
+        assert_eq!(spt.distance(far), None);
+        assert!(!spt.is_reachable(far));
+        assert_eq!(spt.parent_edge(far), None);
+        assert!(spt.path_to(far).is_none());
     }
 
     #[test]

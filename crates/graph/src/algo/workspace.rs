@@ -6,12 +6,12 @@
 //! generation-stamped visited marks so starting the next source costs
 //! `O(touched)` bookkeeping, not `O(V)` clearing plus allocator traffic.
 //!
-//! This module is on the serving read path (geo queries replay Dijkstra per
-//! cache miss), so it is inside `privpath-lint`'s panic-freedom scope: no
-//! `unwrap`/`expect`/`panic!` in non-test code.
+//! This module is on the serving read path (every single-pair read runs a
+//! Dijkstra that stops at its target), so it is inside `privpath-lint`'s
+//! panic-freedom scope: no `unwrap`/`expect`/`panic!` in non-test code.
 
-use super::dijkstra::ShortestPathTree;
-use crate::{EdgeId, EdgeWeights, NodeId, Topology};
+use super::dijkstra::{walk_parents, ShortestPathTree};
+use crate::{EdgeId, EdgeWeights, NodeId, Path, Topology};
 use privpath_obs::{Counter, MetricRegistry};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -160,6 +160,39 @@ impl DijkstraWorkspace {
     /// [`dijkstra`](super::dijkstra), so results are bit-for-bit equal to a
     /// fresh run.
     pub fn run_unchecked(&mut self, topo: &Topology, weights: &EdgeWeights, source: NodeId) {
+        self.search(topo, weights, source, None);
+    }
+
+    /// Runs Dijkstra from `source` and stops as soon as `target` is
+    /// settled, under the same preconditions as
+    /// [`run_unchecked`](Self::run_unchecked).
+    ///
+    /// The stopped run is a prefix of the full run, so every vertex it
+    /// settles (the target included) carries the full run's distance and
+    /// parent bit for bit. Only settled vertices are reported, so
+    /// afterwards [`distance`](Self::distance) and
+    /// [`path_to`](Self::path_to) answer for `target`, and vertices the
+    /// run never settled read as unreachable. An unreachable target
+    /// settles the whole component of `source`.
+    pub fn run_to_unchecked(
+        &mut self,
+        topo: &Topology,
+        weights: &EdgeWeights,
+        source: NodeId,
+        target: NodeId,
+    ) {
+        self.search(topo, weights, source, Some(target));
+    }
+
+    /// The one Dijkstra loop: runs from `source` until the heap drains or
+    /// `target` is settled.
+    fn search(
+        &mut self,
+        topo: &Topology,
+        weights: &EdgeWeights,
+        source: NodeId,
+        target: Option<NodeId>,
+    ) {
         self.begin(topo.num_nodes());
         self.source = source;
         let gen = self.gen;
@@ -179,6 +212,9 @@ impl DijkstraWorkspace {
             }
             self.settled[ui] = gen;
             settled_count += 1;
+            if target == Some(u) {
+                break;
+            }
             for (v, e) in topo.neighbors(u) {
                 let vi = v.index();
                 let nd = d + weights.get(e);
@@ -203,20 +239,29 @@ impl DijkstraWorkspace {
         (self.n > 0).then_some(self.source)
     }
 
-    /// Distance from the last run's source to `v`, or `None` if `v` is
-    /// unreachable or out of range.
+    /// Whether the last run settled vertex index `i` (out of range is
+    /// never settled). After a full run this is exactly "reachable"; a
+    /// stopped run reports nothing past its target, so no tentative
+    /// distance or parent can leak.
+    fn is_settled(&self, i: usize) -> bool {
+        i < self.n && self.settled[i] == self.gen
+    }
+
+    /// Distance from the last run's source to `v`, or `None` if the run
+    /// did not settle `v` (unreachable, past a stopped run's target, or
+    /// out of range).
     pub fn distance(&self, v: NodeId) -> Option<f64> {
         let i = v.index();
-        (i < self.n && self.stamp[i] == self.gen).then(|| self.dist[i])
+        self.is_settled(i).then(|| self.dist[i])
     }
 
     /// Writes the full distance row of the last run into `out`
-    /// (`f64::INFINITY` marks unreachable vertices), resizing it to
-    /// [`num_nodes`](Self::num_nodes).
+    /// (`f64::INFINITY` marks vertices the run did not settle), resizing
+    /// it to [`num_nodes`](Self::num_nodes).
     pub fn write_distances(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend((0..self.n).map(|i| {
-            if self.stamp[i] == self.gen {
+            if self.is_settled(i) {
                 self.dist[i]
             } else {
                 f64::INFINITY
@@ -231,6 +276,17 @@ impl DijkstraWorkspace {
         out
     }
 
+    /// The route from the last run's source to `v`, read straight from
+    /// the parent stamps without materializing a tree; `None` if the run
+    /// did not settle `v`. Equal node for node to
+    /// [`tree()`](Self::tree)`.path_to(v)`.
+    pub fn path_to(&self, v: NodeId) -> Option<Path> {
+        // Every vertex on a settled vertex's parent chain was settled
+        // before it, so the walk only reads live entries.
+        self.is_settled(v.index())
+            .then(|| walk_parents(self.source, v, |u| self.parent[u.index()]))
+    }
+
     /// Materializes the last run as an owned [`ShortestPathTree`].
     ///
     /// Before any run this returns a degenerate zero-node tree.
@@ -238,7 +294,7 @@ impl DijkstraWorkspace {
         let mut dist = vec![f64::INFINITY; self.n];
         let mut parent = vec![None; self.n];
         for i in 0..self.n {
-            if self.stamp[i] == self.gen {
+            if self.is_settled(i) {
                 dist[i] = self.dist[i];
                 parent[i] = self.parent[i];
             }
@@ -325,6 +381,46 @@ mod tests {
         assert_eq!(ws.distances().len(), 3);
         dijkstra_into(&mut ws, &big, &wb, NodeId::new(9)).unwrap();
         assert_eq!(ws.distance(NodeId::new(0)), Some(9.0));
+    }
+
+    #[test]
+    fn stopped_run_hides_tentative_neighbours() {
+        // Star 0 -> {1, 2, 3}: settling 1 first leaves 2 and 3 stamped
+        // with tentative distances in the heap.
+        let mut b = Topology::builder(4);
+        for leaf in 1..4 {
+            b.add_edge(NodeId::new(0), NodeId::new(leaf));
+        }
+        let topo = b.build();
+        let w = EdgeWeights::new(vec![1.0, 2.0, 3.0]).unwrap();
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_to_unchecked(&topo, &w, NodeId::new(0), NodeId::new(1));
+        assert_eq!(ws.distance(NodeId::new(1)), Some(1.0));
+        let route = ws.path_to(NodeId::new(1)).unwrap();
+        assert_eq!(route.nodes(), &[NodeId::new(0), NodeId::new(1)]);
+        for leaf in [2, 3] {
+            assert_eq!(ws.distance(NodeId::new(leaf)), None);
+            assert!(ws.path_to(NodeId::new(leaf)).is_none());
+        }
+        assert_eq!(ws.distances()[2..], [f64::INFINITY, f64::INFINITY]);
+        assert_eq!(ws.tree().distance(NodeId::new(2)), None);
+        // A full run on the same workspace right after sees everything.
+        ws.run_unchecked(&topo, &w, NodeId::new(0));
+        assert_eq!(ws.distances(), vec![0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn path_to_matches_tree_path() {
+        let (topo, w) = line(5);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_unchecked(&topo, &w, NodeId::new(1));
+        let tree = ws.tree();
+        for v in topo.nodes() {
+            let (a, b) = (ws.path_to(v).unwrap(), tree.path_to(v).unwrap());
+            assert_eq!(a.nodes(), b.nodes());
+            assert_eq!(a.edges(), b.edges());
+        }
+        assert!(ws.path_to(NodeId::new(99)).is_none());
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! — behind a small fixed array of sharded locks, so concurrent readers
 //! on different sources rarely contend.
 //!
+//! **Only batch reads fill the cache.** A batch computes full rows for
+//! its missing sources anyway, so keeping them is free. A single-pair
+//! `distance` read looks the cache up and, on a miss, runs a search that
+//! stops at its target: it never has a full row, counts one miss and
+//! inserts nothing (a cold point-to-point workload would otherwise pin
+//! one `8·V`-byte row per read that nothing reuses).
+//!
 //! **Invalidation is structural, not tracked**: a cache instance belongs
 //! to exactly one [`NamespaceSnapshot`](crate::NamespaceSnapshot), and
 //! every epoch bump installs a fresh snapshot with a fresh, empty cache.
@@ -19,7 +26,6 @@
 //! snapshots so both `stats` and the `metrics` exposition report
 //! cumulative totals from the same cells.
 
-use privpath_engine::EngineError;
 use privpath_obs::{Counter, MetricRegistry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -103,10 +109,14 @@ impl SourceCache {
 
     /// The cached vector for `(release, source)` if present, counting a
     /// hit; `None` counts nothing (the caller is expected to follow up
-    /// with [`insert`](Self::insert), which counts the miss). Batch reads
-    /// use peek/insert so all their misses can be computed in one
-    /// parallel fan-out instead of one Dijkstra at a time.
+    /// with [`insert`](Self::insert) or [`record_miss`](Self::record_miss),
+    /// which count the miss). Batch reads use peek/insert so all their
+    /// misses can be computed in one parallel fan-out instead of one
+    /// Dijkstra at a time.
     pub(crate) fn peek(&self, release: u64, source: usize) -> Option<Arc<Vec<f64>>> {
+        // A shard guards a plain map of `Arc`s: a reader that panicked
+        // mid-lookup cannot corrupt it, so recover from poisoning — a
+        // cache must never take down the read path.
         let hit = self
             .shard(release, source)
             .lock()
@@ -117,6 +127,12 @@ impl SourceCache {
             self.counters.hits.inc();
         }
         hit
+    }
+
+    /// Counts a miss that was answered without filling the cache (a
+    /// single-pair read's stopped search).
+    pub(crate) fn record_miss(&self) {
+        self.counters.misses.inc();
     }
 
     /// Stores a computed vector for `(release, source)`, counting a miss
@@ -131,45 +147,6 @@ impl SourceCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if guard.len() >= self.per_shard_capacity {
-            if let Some(&victim) = guard.keys().next() {
-                guard.remove(&victim);
-            }
-        }
-        guard.insert((release, source), Arc::clone(&vector));
-        vector
-    }
-
-    /// The cached distance vector for `(release, source)`, computing and
-    /// inserting it on a miss. The computation runs **outside** the shard
-    /// lock so concurrent misses on different sources overlap; two racing
-    /// readers of the same cold key may both compute (the second insert
-    /// wins, both results are identical post-processing of the same
-    /// release).
-    ///
-    /// # Errors
-    /// Whatever `compute` reports; errors are never cached.
-    pub(crate) fn get_or_compute(
-        &self,
-        release: u64,
-        source: usize,
-        compute: impl FnOnce() -> Result<Vec<f64>, EngineError>,
-    ) -> Result<Arc<Vec<f64>>, EngineError> {
-        let shard = self.shard(release, source);
-        // A shard guards a plain map of `Arc`s: a reader that panicked
-        // mid-lookup cannot corrupt it, so recover from poisoning — a
-        // cache must never take down the read path.
-        if let Some(hit) = shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(release, source))
-        {
-            self.counters.hits.inc();
-            return Ok(Arc::clone(hit));
-        }
-        let vector = Arc::new(compute()?);
-        self.counters.misses.inc();
-        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.len() >= self.per_shard_capacity {
             // Bounded memory beats recency here: evict an arbitrary
             // entry (HashMap order) rather than tracking LRU on the hot
             // path.
@@ -178,7 +155,7 @@ impl SourceCache {
             }
         }
         guard.insert((release, source), Arc::clone(&vector));
-        Ok(vector)
+        vector
     }
 }
 
@@ -191,31 +168,19 @@ mod tests {
     fn hit_after_miss_and_counters() {
         let counters = CacheCounters::default();
         let cache = SourceCache::new(8, counters.clone());
-        let v1 = cache.get_or_compute(0, 3, || Ok(vec![1.0, 2.0])).unwrap();
-        let v2 = cache
-            .get_or_compute(0, 3, || panic!("must be served from cache"))
-            .unwrap();
+        assert!(cache.peek(0, 3).is_none());
+        let v1 = cache.insert(0, 3, vec![1.0, 2.0]);
+        let v2 = cache.peek(0, 3).unwrap();
         assert!(Arc::ptr_eq(&v1, &v2));
         assert_eq!(counters.hits(), 1);
         assert_eq!(counters.misses(), 1);
     }
 
     #[test]
-    fn errors_are_not_cached() {
-        let cache = SourceCache::new(8, CacheCounters::default());
-        let err = cache
-            .get_or_compute(1, 1, || Err(EngineError::UnknownRelease(1)))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::UnknownRelease(1)));
-        let ok = cache.get_or_compute(1, 1, || Ok(vec![0.5])).unwrap();
-        assert_eq!(*ok, vec![0.5]);
-    }
-
-    #[test]
     fn capacity_is_bounded() {
         let cache = SourceCache::new(4, CacheCounters::default());
         for s in 0..1000 {
-            cache.get_or_compute(0, s, || Ok(vec![s as f64])).unwrap();
+            cache.insert(0, s, vec![s as f64]);
         }
         let total: usize = cache.shards.iter().map(|s| s.lock().unwrap().len()).sum();
         assert!(total <= NUM_SHARDS, "cache grew past its bound: {total}");

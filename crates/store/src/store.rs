@@ -142,8 +142,10 @@ impl NamespaceSnapshot {
         self.geo.as_deref()
     }
 
-    /// The released estimate of `d(u, v)`, via the source cache when
-    /// enabled.
+    /// The released estimate of `d(u, v)`. With the cache enabled, a row
+    /// a batch read cached for `u` answers it; a miss runs the release's
+    /// point-to-point search (which stops at `v`), counts one miss and
+    /// caches nothing.
     ///
     /// # Errors
     /// As [`QueryService::query`] /
@@ -156,8 +158,12 @@ impl NamespaceSnapshot {
         let n = oracle.num_nodes();
         check_node(u, n)?;
         check_node(v, n)?;
-        let vector = cache.get_or_compute(id.value(), u.index(), || oracle.source_distances(u))?;
-        Ok(vector[v.index()])
+        if let Some(row) = cache.peek(id.value(), u.index()) {
+            return Ok(row[v.index()]);
+        }
+        let d = oracle.distance(u, v)?;
+        cache.record_miss();
+        Ok(d)
     }
 
     /// Released estimates for many pairs, sharing one cached source

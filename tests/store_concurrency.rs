@@ -110,7 +110,9 @@ fn no_stale_cached_answer_survives_update_weights() {
     let (u, v) = (NodeId::new(0), NodeId::new(n - 1));
 
     let before = store.snapshot("metro").unwrap();
-    let d_old = before.distance(id, u, v).unwrap();
+    // Only batch reads fill the cache, so the one-time warm-up is a
+    // batch of the pair.
+    let d_old = before.distance_batch(id, &[(u, v)]).unwrap()[0];
     assert!((d_old - 63.0).abs() < 10.0, "old generation: {d_old}");
     // Warm the cache: repeats must be hits on the same source vector.
     for _ in 0..5 {
@@ -140,6 +142,71 @@ fn no_stale_cached_answer_survives_update_weights() {
 
     // The old snapshot is isolated, not mutated: still the old answers.
     assert_eq!(before.distance(id, u, v).unwrap(), d_old);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A namespace over a 32-node path with one near-exact shortest-path
+/// release. Each cache test names its own namespace: cache counters are
+/// process-wide registry cells keyed by namespace name.
+fn one_release_store(tag: &str, ns: &str) -> (PathBuf, ReleaseStore, ReleaseId) {
+    let dir = temp_store(tag);
+    let store = ReleaseStore::open(&dir).unwrap().with_seed(17);
+    let n = 32;
+    let topo = privpath::graph::generators::path_graph(n);
+    store
+        .create_namespace(ns, topo, EdgeWeights::constant(n - 1, 1.0), None)
+        .unwrap();
+    let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, eps(1000.0)).unwrap();
+    let id = store.publish(ns, &spec).unwrap().id;
+    (dir, store, id)
+}
+
+fn cache_counts(store: &ReleaseStore, ns: &str) -> (u64, u64) {
+    let stats = store.stats_for(ns).unwrap();
+    (stats.cache_hits, stats.cache_misses)
+}
+
+/// A single-pair `distance` miss runs a search that stops at its target:
+/// it counts exactly one miss and leaves the cache empty, so the same
+/// read misses again and so does a batch from that source.
+#[test]
+fn single_pair_distance_miss_counts_one_miss_and_caches_nothing() {
+    let ns = "cold-pair";
+    let (dir, store, id) = one_release_store("cold-pair", ns);
+    let snap = store.snapshot(ns).unwrap();
+    let (u, v) = (NodeId::new(0), NodeId::new(31));
+    let d = snap.distance(id, u, v).unwrap();
+    assert!((d - 31.0).abs() < 5.0, "released distance {d}");
+    assert_eq!(cache_counts(&store, ns), (0, 1));
+    assert_eq!(snap.distance(id, u, v).unwrap().to_bits(), d.to_bits());
+    assert_eq!(cache_counts(&store, ns), (0, 2));
+    let batch = snap.distance_batch(id, &[(u, v)]).unwrap();
+    assert_eq!(batch[0].to_bits(), d.to_bits());
+    assert_eq!(cache_counts(&store, ns), (0, 3));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A row that `distance_batch` cached answers later single-pair
+/// `distance` reads from that source as hits, bit for bit.
+#[test]
+fn single_pair_distance_hits_a_row_cached_by_distance_batch() {
+    let ns = "batch-fill";
+    let (dir, store, id) = one_release_store("batch-fill", ns);
+    let snap = store.snapshot(ns).unwrap();
+    let u = NodeId::new(3);
+    let pairs: Vec<(NodeId, NodeId)> = (0..32).map(|t| (u, NodeId::new(t))).collect();
+    let batch = snap.distance_batch(id, &pairs).unwrap();
+    assert_eq!(cache_counts(&store, ns), (0, 1));
+    for (&(_, t), expected) in pairs.iter().zip(&batch) {
+        assert_eq!(
+            snap.distance(id, u, t).unwrap().to_bits(),
+            expected.to_bits()
+        );
+    }
+    assert_eq!(cache_counts(&store, ns), (32, 1));
+    // Another source has no row: a miss.
+    snap.distance(id, NodeId::new(4), NodeId::new(0)).unwrap();
+    assert_eq!(cache_counts(&store, ns), (32, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
 
