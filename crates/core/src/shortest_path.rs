@@ -226,20 +226,6 @@ impl ShortestPathRelease {
         ))
     }
 
-    /// Every released distance from `s` (`f64::INFINITY` for unreachable
-    /// targets), read straight from the calling thread's workspace
-    /// without materializing parent arrays.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Graph`] if `s` is invalid.
-    pub fn distances_from(&self, s: NodeId) -> Result<Vec<f64>, CoreError> {
-        self.topo.check_node(s)?;
-        Ok(with_thread_workspace(|ws| {
-            ws.run_unchecked(&self.topo, &self.released, s);
-            ws.distances()
-        }))
-    }
-
     /// The released path from `s` to `t`: the shortest `s`-`t` path under
     /// the released weights.
     ///

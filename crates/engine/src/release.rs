@@ -58,40 +58,31 @@ pub trait DistanceRelease: Send + Sync {
         pairs.iter().map(|&(u, v)| self.distance(u, v)).collect()
     }
 
-    /// Every released distance from one source, indexed by target
-    /// (unreachable targets are `+inf`). This is the row a read-path
-    /// cache keyed by `(release, source)` holds: one vector answers every
-    /// `(source, *)` query against the release. The store fills such rows
-    /// from batch reads only (through
-    /// [`source_distance_rows`](Self::source_distance_rows)); a
-    /// single-pair [`distance`](Self::distance) miss runs a search that
-    /// stops at its target and caches nothing. Graph-replaying releases
-    /// override it to pay exactly one Dijkstra; the default maps
-    /// [`distance`](Self::distance) over all targets (cheap for
-    /// table-backed kinds).
+    /// Distance rows for many sources at once: row `i` holds every
+    /// released distance from `sources[i]`, indexed by target
+    /// (unreachable targets are `+inf`). This is the row the store's
+    /// read-path cache keeps per `(release, source)`: one row answers
+    /// every `(source, *)` query against the release.
     ///
-    /// # Errors
-    /// Same conditions as [`distance`](Self::distance).
-    fn source_distances(&self, u: NodeId) -> Result<Vec<f64>, EngineError> {
-        (0..self.num_nodes())
-            .map(|v| self.distance(u, NodeId::new(v)))
-            .collect()
-    }
-
-    /// Distance rows for many sources at once: row `i` is
-    /// [`source_distances`](Self::source_distances) of `sources[i]`.
-    ///
-    /// The default maps `source_distances` sequentially (fine for
-    /// table-backed kinds, whose rows are array reads); graph-replaying
-    /// kinds override it to fan the per-source Dijkstras over the default
-    /// search thread pool. Overrides must stay bit-for-bit identical to
-    /// the sequential mapping — callers (the store's snapshot cache) rely
-    /// on replayed answers being byte-stable.
+    /// The default maps [`distance`](Self::distance) over all targets
+    /// (cheap for table-backed kinds, whose rows are array reads);
+    /// graph-replaying kinds override it to pay one Dijkstra per source,
+    /// fanned over the default search thread pool. Overrides must stay
+    /// bit-for-bit identical to the default mapping — callers (the
+    /// store's snapshot cache) rely on replayed answers being
+    /// byte-stable.
     ///
     /// # Errors
     /// Same conditions as [`distance`](Self::distance).
     fn source_distance_rows(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, EngineError> {
-        sources.iter().map(|&s| self.source_distances(s)).collect()
+        sources
+            .iter()
+            .map(|&u| {
+                (0..self.num_nodes())
+                    .map(|v| self.distance(u, NodeId::new(v)))
+                    .collect()
+            })
+            .collect()
     }
 
     /// The released route from `u` to `v`, for release kinds that carry
@@ -175,11 +166,6 @@ impl DistanceRelease for ShortestPathRelease {
         })
     }
 
-    fn source_distances(&self, u: NodeId) -> Result<Vec<f64>, EngineError> {
-        check_node(u.index(), DistanceRelease::num_nodes(self))?;
-        Ok(self.distances_from(u)?)
-    }
-
     fn source_distance_rows(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, EngineError> {
         for &s in sources {
             check_node(s.index(), DistanceRelease::num_nodes(self))?;
@@ -243,11 +229,6 @@ impl DistanceRelease for SyntheticGraphRelease {
         batch_by_source(DistanceRelease::num_nodes(self), pairs, |sources| {
             Ok(self.distances_for_sources(sources)?)
         })
-    }
-
-    fn source_distances(&self, u: NodeId) -> Result<Vec<f64>, EngineError> {
-        check_node(u.index(), DistanceRelease::num_nodes(self))?;
-        Ok(self.distances_from(u)?)
     }
 
     fn source_distance_rows(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, EngineError> {

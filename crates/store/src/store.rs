@@ -22,7 +22,7 @@
 //! Epochs count committed mutations: publish, update-weights, and drop
 //! each bump the namespace epoch by exactly one.
 
-use crate::cache::{CacheCounters, SourceCache};
+use crate::cache::{CacheCounters, PairLookup, SourceCache};
 use crate::continual::{state_file_name, ContinualState, ContinualStatus};
 use crate::error::StoreError;
 use crate::manifest::{
@@ -142,10 +142,13 @@ impl NamespaceSnapshot {
         self.geo.as_deref()
     }
 
-    /// The released estimate of `d(u, v)`. With the cache enabled, a row
-    /// a batch read cached for `u` answers it; a miss runs the release's
-    /// point-to-point search (which stops at `v`), counts one miss and
-    /// caches nothing.
+    /// The released estimate of `d(u, v)`. With the cache enabled, a
+    /// cached row for `u`, or the answer `u`'s first miss remembered for
+    /// this same pair, answers it. The first miss on `u` runs the
+    /// release's point-to-point search (which stops at `v`) and caches
+    /// no row; a later miss on `u` with another target computes and
+    /// caches `u`'s full row (see [`crate::cache`]). Every read counts
+    /// exactly one hit or one miss.
     ///
     /// # Errors
     /// As [`QueryService::query`] /
@@ -158,11 +161,18 @@ impl NamespaceSnapshot {
         let n = oracle.num_nodes();
         check_node(u, n)?;
         check_node(v, n)?;
-        if let Some(row) = cache.peek(id.value(), u.index()) {
-            return Ok(row[v.index()]);
+        let (release, source) = (id.value(), u.index());
+        let lookup = cache.lookup_pair(release, source, v.index());
+        if let PairLookup::Hit(d) = lookup {
+            return Ok(d);
+        }
+        if lookup == PairLookup::FillRow {
+            if let Some(row) = oracle.source_distance_rows(&[u])?.pop() {
+                return Ok(cache.insert(release, source, row)[v.index()]);
+            }
         }
         let d = oracle.distance(u, v)?;
-        cache.record_miss();
+        cache.remember(release, source, v.index(), d);
         Ok(d)
     }
 

@@ -110,8 +110,8 @@ fn no_stale_cached_answer_survives_update_weights() {
     let (u, v) = (NodeId::new(0), NodeId::new(n - 1));
 
     let before = store.snapshot("metro").unwrap();
-    // Only batch reads fill the cache, so the one-time warm-up is a
-    // batch of the pair.
+    // A batch caches its source's full row at once, so the one-time
+    // warm-up is a batch of the pair.
     let d_old = before.distance_batch(id, &[(u, v)]).unwrap()[0];
     assert!((d_old - 63.0).abs() < 10.0, "old generation: {d_old}");
     // Warm the cache: repeats must be hits on the same source vector.
@@ -166,9 +166,9 @@ fn cache_counts(store: &ReleaseStore, ns: &str) -> (u64, u64) {
     (stats.cache_hits, stats.cache_misses)
 }
 
-/// A single-pair `distance` miss runs a search that stops at its target:
-/// it counts exactly one miss and leaves the cache empty, so the same
-/// read misses again and so does a batch from that source.
+/// A first single-pair `distance` miss on a source runs a search that
+/// stops at its target: it counts exactly one miss and caches no row, so
+/// a batch from that source misses too.
 #[test]
 fn single_pair_distance_miss_counts_one_miss_and_caches_nothing() {
     let ns = "cold-pair";
@@ -178,11 +178,64 @@ fn single_pair_distance_miss_counts_one_miss_and_caches_nothing() {
     let d = snap.distance(id, u, v).unwrap();
     assert!((d - 31.0).abs() < 5.0, "released distance {d}");
     assert_eq!(cache_counts(&store, ns), (0, 1));
-    assert_eq!(snap.distance(id, u, v).unwrap().to_bits(), d.to_bits());
-    assert_eq!(cache_counts(&store, ns), (0, 2));
     let batch = snap.distance_batch(id, &[(u, v)]).unwrap();
     assert_eq!(batch[0].to_bits(), d.to_bits());
+    assert_eq!(cache_counts(&store, ns), (0, 2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A source that misses again on a single-pair read with another target
+/// gets its full row cached, so from its third read on it is a hit; every
+/// answer equals the uncached release's bit for bit, and each read counts
+/// one lookup.
+#[test]
+fn repeated_single_pair_source_is_cached_on_its_second_miss() {
+    let ns = "hot-pair";
+    let (dir, store, id) = one_release_store("hot-pair", ns);
+    let snap = store.snapshot(ns).unwrap();
+    let oracle = snap.service().query(id).unwrap();
+    let u = NodeId::new(5);
+    let expected = |t: usize| oracle.distance(u, NodeId::new(t)).unwrap().to_bits();
+    assert_eq!(
+        snap.distance(id, u, NodeId::new(0)).unwrap().to_bits(),
+        expected(0)
+    );
+    assert_eq!(cache_counts(&store, ns), (0, 1));
+    // Another source's first miss does not admit `u`.
+    snap.distance(id, NodeId::new(6), NodeId::new(0)).unwrap();
+    assert_eq!(cache_counts(&store, ns), (0, 2));
+    assert_eq!(
+        snap.distance(id, u, NodeId::new(31)).unwrap().to_bits(),
+        expected(31)
+    );
     assert_eq!(cache_counts(&store, ns), (0, 3));
+    for t in 0..32 {
+        assert_eq!(
+            snap.distance(id, u, NodeId::new(t)).unwrap().to_bits(),
+            expected(t)
+        );
+    }
+    assert_eq!(cache_counts(&store, ns), (32, 3));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same single pair read again is a hit on the answer its first
+/// miss remembered, without caching a row: a batch from that source
+/// still misses.
+#[test]
+fn repeated_single_pair_is_a_hit_without_a_row() {
+    let ns = "same-pair";
+    let (dir, store, id) = one_release_store("same-pair", ns);
+    let snap = store.snapshot(ns).unwrap();
+    let (u, v) = (NodeId::new(2), NodeId::new(29));
+    let d = snap.distance(id, u, v).unwrap();
+    for _ in 0..3 {
+        assert_eq!(snap.distance(id, u, v).unwrap().to_bits(), d.to_bits());
+    }
+    assert_eq!(cache_counts(&store, ns), (3, 1));
+    let batch = snap.distance_batch(id, &[(u, v)]).unwrap();
+    assert_eq!(batch[0].to_bits(), d.to_bits());
+    assert_eq!(cache_counts(&store, ns), (3, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
 
